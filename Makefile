@@ -2,7 +2,7 @@
 # commands. The repo is stdlib-only: no tool downloads are needed for
 # build/test/lint (staticcheck/govulncheck are CI extras).
 
-.PHONY: build test lint fmt fuzz bench serve-test leak-test shard-test
+.PHONY: build test lint fmt fuzz bench perf perf-compare serve-test leak-test shard-test
 
 build:
 	go build ./...
@@ -27,6 +27,18 @@ fuzz:
 
 bench:
 	go test ./internal/sim/ -run '^$$' -bench BenchmarkCampaignFig8a -benchtime 1x
+
+# The repository benchmark (cbmaperf/README.md): every workload, untraced
+# and traced, from one process. Each run appends its records to
+# .bench_build/cbmaperf/results.jsonl; perf-compare prints per-metric
+# medians, ratios and verdicts for two such ledgers, e.g.
+#   make perf-compare BASE=base/results.jsonl NEW=.bench_build/cbmaperf/results.jsonl
+perf:
+	bash cbmaperf/run.sh --workload all --seed 1 --seconds 20
+
+perf-compare:
+	@test -n "$(BASE)" -a -n "$(NEW)" || { echo "usage: make perf-compare BASE=base.jsonl NEW=new.jsonl" >&2; exit 2; }
+	bash cbmaperf/run.sh compare $(BASE) $(NEW)
 
 # The campaign-service layers and daemon under the race detector (the
 # cbmad e2e equivalence test runs real campaigns; see DESIGN.md,

@@ -34,9 +34,8 @@ func Add(a, b []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// AccumulateInto adds src into dst element-wise, in place. dst and src must
-// have equal length. It is the hot path used by the simulation engine when
-// summing per-tag waveforms, so it avoids allocation.
+// AccumulateInto adds src into dst element-wise, in place, without
+// allocating. dst and src must have equal length.
 //
 //cbma:hotpath
 func AccumulateInto(dst, src []complex128) error {

@@ -131,9 +131,17 @@ func FractionalDelay(x []complex128, d float64) []complex128 {
 		if j >= 0 && j < len(x) {
 			b = x[j]
 		}
-		out[i] = b*complex(1-frac, 0) + a*complex(frac, 0)
+		out[i] = LerpDelay(b, a, frac)
 	}
 	return out
+}
+
+// LerpDelay is one output sample of the linear-interpolation delay: the
+// current input sample x and its predecessor prev weighted by 1−d and d.
+// FractionalDelay, FractionalDelayInPlace and the simulator's fused mixing
+// kernel all evaluate this one expression, so they round identically.
+func LerpDelay(x, prev complex128, d float64) complex128 {
+	return x*complex(1-d, 0) + prev*complex(d, 0)
 }
 
 // FractionalDelayInPlace applies a purely sub-sample delay (0 ≤ d < 1) to x
@@ -152,7 +160,7 @@ func FractionalDelayInPlace(x []complex128, d float64) {
 		if i > 0 {
 			a = x[i-1]
 		}
-		x[i] = x[i]*complex(1-d, 0) + a*complex(d, 0)
+		x[i] = LerpDelay(x[i], a, d)
 	}
 }
 

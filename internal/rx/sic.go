@@ -53,7 +53,9 @@ func (r *Receiver) receiveSIC(samples []complex128, res *Result, env []float64, 
 		remaining = append(remaining, id)
 	}
 	for len(remaining) > 0 {
+		detSp := r.obs.Start(r.hDetect)
 		bestID, bestDet, found := r.detectBest(remaining, envWork, work, globalStart, noiseW)
+		detSp.End()
 		if !found {
 			break
 		}
@@ -63,40 +65,51 @@ func (r *Receiver) receiveSIC(samples []complex128, res *Result, env []float64, 
 				break
 			}
 		}
-		f := r.decodeUser(work, bestID, bestDet.lag, bestDet.phasor)
-		f.Corr = bestDet.corr
-		res.Frames = append(res.Frames, f)
-		if !f.OK {
-			continue // cannot reconstruct an unverified frame
-		}
-		bits, err := frame.Marshal(f.Payload, r.cfg.Frame)
-		if err != nil {
-			continue // cannot happen for a CRC-verified payload; fail open
-		}
-		accepted = append(accepted, sicUser{
-			id:    bestID,
-			lag:   f.Lag,
-			chips: r.cfg.Codes.Codes[bestID].Spread(bits),
-		})
-		// Joint LS re-fit of every accepted amplitude against the original
-		// buffer, then rebuild the working residual. Per-user scalar fits
-		// leave 10–30% residuals when supports overlap; the joint solve
-		// drives the residual to the noise floor.
-		amps, ok := r.jointAmplitudes(samples, accepted)
-		if !ok {
-			continue
-		}
-		copy(work, samples)
-		spc := r.cfg.SamplesPerChip
-		for u := range accepted {
-			subtractWaveform(work, accepted[u].lag, accepted[u].chips, spc, amps[u])
-		}
-		for i := range work {
-			re, im := real(work[i]), imag(work[i])
-			envWork[i] = math.Sqrt(re*re + im*im)
-		}
+		decSp := r.obs.Start(r.hDecode)
+		accepted = r.decodeAndCancel(samples, work, envWork, res, accepted, bestID, bestDet)
+		decSp.End()
 	}
 	suppressGhosts(res.Frames)
+}
+
+// decodeAndCancel decodes user id at its detection, appends the frame to
+// res and, when the CRC verifies, adds the user to accepted and rebuilds
+// the working residual and its envelope with every accepted user
+// cancelled. It returns the (possibly grown) accepted set.
+func (r *Receiver) decodeAndCancel(samples, work []complex128, envWork []float64, res *Result, accepted []sicUser, id int, det detection) []sicUser {
+	f := r.decodeUser(work, id, det.lag, det.phasor)
+	f.Corr = det.corr
+	res.Frames = append(res.Frames, f)
+	if !f.OK {
+		return accepted // cannot reconstruct an unverified frame
+	}
+	bits, err := frame.Marshal(f.Payload, r.cfg.Frame)
+	if err != nil {
+		return accepted // cannot happen for a CRC-verified payload; fail open
+	}
+	accepted = append(accepted, sicUser{
+		id:    id,
+		lag:   f.Lag,
+		chips: r.cfg.Codes.Codes[id].Spread(bits),
+	})
+	// Joint LS re-fit of every accepted amplitude against the original
+	// buffer, then rebuild the working residual. Per-user scalar fits
+	// leave 10–30% residuals when supports overlap; the joint solve
+	// drives the residual to the noise floor.
+	amps, ok := r.jointAmplitudes(samples, accepted)
+	if !ok {
+		return accepted
+	}
+	copy(work, samples)
+	spc := r.cfg.SamplesPerChip
+	for u := range accepted {
+		subtractWaveform(work, accepted[u].lag, accepted[u].chips, spc, amps[u])
+	}
+	for i := range work {
+		re, im := real(work[i]), imag(work[i])
+		envWork[i] = math.Sqrt(re*re + im*im)
+	}
+	return accepted
 }
 
 // sicUser is one accepted (CRC-verified) transmission being cancelled.

@@ -225,7 +225,7 @@ func (e *Engine) powerControlConfig() mac.PowerControlConfig {
 // resilient runner: a panicking or transiently failing round comes back
 // quarantined, not as an error.
 func (e *Engine) runRound(active []*tag.Tag) (roundResult, error) {
-	rs := newRoundStreams(e.scn.Seed, e.runSeq, phaseAdhoc, e.adhocRound)
+	rs := e.round.streams(e.scn.Seed, e.runSeq, phaseAdhoc, e.adhocRound)
 	e.adhocRound++
 	res, err := e.resilientRound(active, rs, &e.round, e.recv)
 	if err != nil {
@@ -329,7 +329,7 @@ func (e *Engine) runSteadyState(ctx context.Context, m *Metrics, seq uint64) err
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			rs := newRoundStreams(e.scn.Seed, seq, phaseSteady, uint64(p))
+			rs := e.round.streams(e.scn.Seed, seq, phaseSteady, uint64(p))
 			res, err := e.resilientRound(e.tags, rs, &e.round, e.recv)
 			if err != nil {
 				return err
@@ -373,7 +373,7 @@ func (e *Engine) runSteadyParallel(ctx context.Context, m *Metrics, seq uint64, 
 				if ctx.Err() != nil {
 					return
 				}
-				rs := newRoundStreams(e.scn.Seed, seq, phaseSteady, uint64(p))
+				rs := rb.streams(e.scn.Seed, seq, phaseSteady, uint64(p))
 				results[p], errs[p] = e.resilientRound(e.tags, rs, &rb, recv)
 				done[p] = true
 			}

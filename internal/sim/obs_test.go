@@ -72,6 +72,51 @@ func TestRunObsEquivalence(t *testing.T) {
 	}
 }
 
+// TestSICObsEquivalence: the SIC receive path records its detect and
+// decode spans (one detect span per detection pass, one decode span per
+// decoded user), and attaching the observer leaves a dense SIC run's
+// Metrics untouched.
+func TestSICObsEquivalence(t *testing.T) {
+	scn := fastScenario()
+	scn.NumTags = 6
+	scn.SIC = true
+	scn.TagLineDistance = 2
+	scn.Packets = packets(t, 16)
+	e, err := NewEngine(scn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, sink, _ := testObserver()
+	observed := scn
+	observed.Obs = o
+	e, err = NewEngine(observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(bare, m) {
+		t.Errorf("SIC metrics with telemetry diverge from bare run:\n  bare: %+v\n  obs:  %+v", bare, m)
+	}
+	detect := o.Histogram("rx.phase.detect_ns").Count()
+	decode := o.Histogram("rx.phase.decode_ns").Count()
+	if decode < int64(m.FramesDetected) || decode == 0 {
+		t.Errorf("rx.phase.decode_ns count = %d, want ≥ %d decoded users", decode, m.FramesDetected)
+	}
+	if detect < decode {
+		t.Errorf("rx.phase.detect_ns count = %d, want at least one pass per decode span (%d)", detect, decode)
+	}
+}
+
 // TestCampaignObsEquivalence extends the invariant to RunCampaign and checks
 // the campaign-level event record: attaching a campaign observer leaves every
 // point's Metrics untouched while the sink sees the campaign lifecycle and

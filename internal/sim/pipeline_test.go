@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -329,6 +330,36 @@ func TestStreamSeedsDistinct(t *testing.T) {
 					}
 					seen[s] = node{runSeq, phase, round, id}
 				}
+			}
+		}
+	}
+}
+
+// TestStreamPoolReseedMatchesFresh: a pooled generator reseeded for a new
+// round draws exactly what a freshly constructed one does — including after
+// a partial byte Read, whose buffered position the reseed must discard —
+// and the pool keeps one generator per stream across rounds.
+func TestStreamPoolReseedMatchesFresh(t *testing.T) {
+	var rb roundBuffers
+	var first [numStreams]*rand.Rand
+	for round := uint64(0); round < 3; round++ {
+		pooled := rb.streams(1, 0, phaseSteady, round)
+		fresh := newRoundStreams(1, 0, phaseSteady, round)
+		for id := StreamID(0); id < numStreams; id++ {
+			p, f := pooled.rng(id), fresh.rng(id)
+			if round == 0 {
+				first[id] = p
+			} else if p != first[id] {
+				t.Fatalf("round %d stream %d: pool built a new generator", round, id)
+			}
+			pb, fb := make([]byte, 3), make([]byte, 3)
+			p.Read(pb)
+			f.Read(fb)
+			if !bytes.Equal(pb, fb) || p.Float64() != f.Float64() || p.NormFloat64() != f.NormFloat64() {
+				t.Fatalf("round %d stream %d: reseeded generator diverges from a fresh one", round, id)
+			}
+			if pooled.rng(id).Int63() != fresh.rng(id).Int63() {
+				t.Fatalf("round %d stream %d: a live stream restarted on its second use", round, id)
 			}
 		}
 	}

@@ -114,30 +114,53 @@ func streamSeed(seed int64, runSeq, phase, round uint64, id StreamID) int64 {
 	return int64(mix64(splitmix64(uint64(seed))^streamSalt, runSeq, phase, round, uint64(id)))
 }
 
-// roundStreams lazily materializes the named RNG streams of one round.
-// A roundStreams value belongs to a single goroutine (the worker executing
-// the round).
+// streamPool holds one generator per StreamID for reuse across rounds. A
+// round's stream is reseeded in place on first use ((*rand.Rand).Seed
+// resets both the source and the Rand's byte-read position, so the result
+// is bit-identical to a freshly constructed generator), which keeps the
+// ~5 KB source allocation and its garbage off the per-round path. A pool
+// belongs to one worker's roundBuffers and is never shared across
+// goroutines.
+type streamPool [numStreams]*rand.Rand
+
+// roundStreams lazily materializes the named RNG streams of one round from
+// its pool. A roundStreams value belongs to a single goroutine (the worker
+// executing the round), and two nodes may share a pool only while they
+// draw disjoint streams: seeding a stream for one node restarts it for any
+// other node holding it.
 type roundStreams struct {
 	seed   int64
 	runSeq uint64
 	phase  uint64
 	round  uint64
-	rngs   [numStreams]*rand.Rand
+	pool   *streamPool
+	// live marks the streams this node has seeded (bit i = StreamID i).
+	live uint32
 }
 
-// newRoundStreams prepares the stream tree node for one round. runSeq
+// live must hold one bit per stream.
+var _ [32 - numStreams]struct{}
+
+// newRoundStreams prepares the stream tree node for one round on a private
+// pool — for one-off nodes such as the engine's construction draws. runSeq
 // distinguishes repeated Run/RunSchedule calls on the same engine (each
 // placement of a deployment study must see fresh randomness); phase and
 // round locate the round within the run.
 func newRoundStreams(seed int64, runSeq, phase, round uint64) *roundStreams {
-	return &roundStreams{seed: seed, runSeq: runSeq, phase: phase, round: round}
+	return &roundStreams{seed: seed, runSeq: runSeq, phase: phase, round: round, pool: new(streamPool)}
 }
 
-// rng returns the round's generator for the given stream, creating it on
-// first use.
+// rng returns the round's generator for the given stream, seeding it on
+// first use by this node.
 func (rs *roundStreams) rng(id StreamID) *rand.Rand {
-	if rs.rngs[id] == nil {
-		rs.rngs[id] = rand.New(rand.NewSource(streamSeed(rs.seed, rs.runSeq, rs.phase, rs.round, id)))
+	if rs.live&(1<<id) == 0 {
+		seed := streamSeed(rs.seed, rs.runSeq, rs.phase, rs.round, id)
+		if rs.pool[id] == nil {
+			rs.pool[id] = rand.New(rand.NewSource(seed))
+		} else {
+			rs.pool[id].Seed(seed)
+		}
+		rs.live |= 1 << id
 	}
-	return rs.rngs[id]
+	return rs.pool[id]
 }

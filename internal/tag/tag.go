@@ -137,11 +137,22 @@ func (t *Tag) DeltaGamma() (float64, error) {
 // each data bit of one emits the code's One chips and each zero bit the
 // Zero chips.
 func (t *Tag) EncodeFrame(payload []byte) ([]byte, error) {
+	bits, err := t.FrameBits(payload)
+	if err != nil {
+		return nil, err
+	}
+	return SpreadBits(bits, t.cfg.Code), nil
+}
+
+// FrameBits returns the frame's unspread bit stream (preamble, length,
+// payload, CRC; one bit per byte) — EncodeFrame before PN spreading. The
+// simulator's mixing kernel spreads on the fly from these bits and Code.
+func (t *Tag) FrameBits(payload []byte) ([]byte, error) {
 	bits, err := frame.Marshal(payload, t.cfg.Frame)
 	if err != nil {
 		return nil, fmt.Errorf("tag %d: %w", t.id, err)
 	}
-	return SpreadBits(bits, t.cfg.Code), nil
+	return bits, nil
 }
 
 // Waveform produces the tag's baseband OOK envelope for one frame at the
