@@ -8,6 +8,7 @@ import (
 
 	"cbma/internal/channel"
 	"cbma/internal/fault"
+	"cbma/internal/pn"
 	"cbma/internal/trace"
 )
 
@@ -76,6 +77,32 @@ func TestRoundResultGolden(t *testing.T) {
 	execFaults := small()
 	execFaults.Fault = &fault.Profile{PanicProb: 0.2, TransientErrProb: 0.3, MaxRoundRetries: 2}
 
+	// Ten tags on Gold-31 with SIC (the headline load): at this distance
+	// and seed the receiver accepts most frames, fails CRC on several
+	// (so later detection passes run over an unchanged residual) and
+	// suppresses a payload ghost.
+	denseSIC := small()
+	denseSIC.NumTags = 10
+	denseSIC.TagLineDistance = 1
+	denseSIC.Packets = 4
+	denseSIC.Seed = 2
+	denseSIC.SIC = true
+
+	// 127-chip Gold codes with SIC: longer chip walks per cancelled user.
+	gold127SIC := small()
+	gold127SIC.NumTags = 4
+	gold127SIC.GoldDegree = 7
+	gold127SIC.Packets = 4
+	gold127SIC.SIC = true
+
+	// Sparse (2NC) codes with SIC: the only code family whose detection
+	// reads the residual's envelope.
+	sparseSIC := small()
+	sparseSIC.Family = pn.Family2NC
+	sparseSIC.NumTags = 6
+	sparseSIC.Packets = 4
+	sparseSIC.SIC = true
+
 	cases := []struct {
 		name string
 		scn  Scenario
@@ -91,6 +118,9 @@ func TestRoundResultGolden(t *testing.T) {
 		{"static-zero-jitter", static, "e28251472186fdb59b4bd30b6e62f016b3747661be83116debcc2fe47ddc1099"},
 		{"power-control", powerControl, "3c4b49f9de797d40b234256ffa8c1e085e6273247543194d2a53915a48044f3d"},
 		{"exec-faults", execFaults, "3ed2908d8f8e89966af7ba2e85682324a3ca3e9f88c6610c9644ffc345ebc996"},
+		{"dense-sic-gold31", denseSIC, "35f49f3344c6464a0e2ba8ce79dc34d977331030a715102853d2ebeb713401e9"},
+		{"sic-gold127", gold127SIC, "e23d4a9a85bde2f95723b9949015a26471036cbaf8d03a3be4a14caa340761f0"},
+		{"sic-2nc", sparseSIC, "121e45ed091f3de4648f296bb79b46e6708becaae6f49ffe186dac38c34c0ad0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
