@@ -509,31 +509,26 @@ func (r *Receiver) detectAndDecodeAll(env []float64, x []complex128, globalStart
 	return frames
 }
 
-// detectBest scans the given codes and returns the one with the strongest
-// detection — the SIC ordering primitive — fanning out across the worker
-// pool when configured. Ties break toward the lowest code ID in both paths.
-func (r *Receiver) detectBest(ids []int, env []float64, x []complex128, globalStart int, noiseW float64) (int, detection, bool) {
+// detSlot is one code's cached detection outcome in the SIC loop.
+type detSlot struct {
+	det detection
+	ok  bool
+}
+
+// detectInto runs user detection for each of the given codes over one
+// shared sweep and stores code id's outcome in dets[id], fanning out across
+// the worker pool when configured. Workers write disjoint slots, so the
+// stored outcomes are the serial path's whatever the worker count.
+func (r *Receiver) detectInto(dets []detSlot, ids []int, env []float64, x []complex128, globalStart int, noiseW float64) {
 	sw := r.buildSweep(env, x, globalStart)
 	workers := r.workerCount(len(ids))
 	if workers <= 1 {
-		bestID := -1
-		var bestDet detection
 		for _, id := range ids {
 			det, ok := r.detectUser(sw, env, x, id, globalStart, noiseW)
-			if !ok {
-				continue
-			}
-			if bestID < 0 || det.corr > bestDet.corr {
-				bestID, bestDet = id, det
-			}
+			dets[id] = detSlot{det: det, ok: ok}
 		}
-		return bestID, bestDet, bestID >= 0
+		return
 	}
-	type slot struct {
-		det detection
-		ok  bool
-	}
-	slots := make([]slot, len(ids))
 	var next int64 = -1
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -546,19 +541,26 @@ func (r *Receiver) detectBest(ids []int, env []float64, x []complex128, globalSt
 					return
 				}
 				det, ok := r.detectUser(sw, env, x, ids[j], globalStart, noiseW)
-				slots[j] = slot{det: det, ok: ok}
+				dets[ids[j]] = detSlot{det: det, ok: ok}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// bestDetection returns the code among ids with the strongest stored
+// detection — the SIC ordering primitive. ids ascend and only a strictly
+// greater correlation displaces the incumbent, so ties break toward the
+// lowest code ID.
+func bestDetection(dets []detSlot, ids []int) (int, detection, bool) {
 	bestID := -1
 	var bestDet detection
-	for j, id := range ids {
-		if !slots[j].ok {
+	for _, id := range ids {
+		if !dets[id].ok {
 			continue
 		}
-		if bestID < 0 || slots[j].det.corr > bestDet.corr {
-			bestID, bestDet = id, slots[j].det
+		if bestID < 0 || dets[id].det.corr > bestDet.corr {
+			bestID, bestDet = id, dets[id].det
 		}
 	}
 	return bestID, bestDet, bestID >= 0

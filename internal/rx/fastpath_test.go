@@ -250,7 +250,7 @@ func TestConfigRejectsNegativeWorkers(t *testing.T) {
 	}
 }
 
-func benchmarkReceive(b *testing.B, set *pn.Set, nTags, workers int) {
+func benchmarkReceive(b *testing.B, set *pn.Set, nTags, workers int, sic bool) {
 	payloads := make([][]byte, nTags)
 	gains := make([]complex128, nTags)
 	offsets := make([]int, nTags)
@@ -270,6 +270,7 @@ func benchmarkReceive(b *testing.B, set *pn.Set, nTags, workers int) {
 		NoiseFloorW:    testNoise,
 		SearchChips:    1,
 		Workers:        workers,
+		SIC:            sic,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -296,7 +297,18 @@ func BenchmarkReceive31Gold10Tags(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchmarkReceive(b, set, 10, 0)
+	benchmarkReceive(b, set, 10, 0, false)
+}
+
+// BenchmarkReceiveSIC31Gold10Tags is the same collision through the SIC
+// receiver: ten detection passes, each accepted user growing the joint
+// amplitude fit and rebuilding the residual.
+func BenchmarkReceiveSIC31Gold10Tags(b *testing.B) {
+	set, err := pn.NewGoldSet(5, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchmarkReceive(b, set, 10, 0, true)
 }
 
 // BenchmarkReceive127Gold10Tags is the long-code case where the alignment
@@ -306,7 +318,7 @@ func BenchmarkReceive127Gold10Tags(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchmarkReceive(b, set, 10, 0)
+	benchmarkReceive(b, set, 10, 0, false)
 }
 
 // BenchmarkReceive127Gold10TagsWorkers4 adds the opt-in per-code fan-out.
@@ -315,5 +327,5 @@ func BenchmarkReceive127Gold10TagsWorkers4(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchmarkReceive(b, set, 10, 4)
+	benchmarkReceive(b, set, 10, 4, false)
 }

@@ -169,14 +169,18 @@ type Receiver struct {
 	// Per-call scratch, reused across Receive calls (the reason a Receiver
 	// is not safe for concurrent use): instantaneous power and envelope of
 	// the buffer, per-code correlation rows for the alignment and
-	// detection sweeps, and the SIC residual buffers.
-	power     []float64
-	env       []float64
-	alignRows [][]float64
-	envRows   [][]float64
-	cohRows   [][]complex128
-	sicWork   []complex128
-	sicEnv    []float64
+	// detection sweeps, and the SIC residual buffers, per-code detection
+	// cache, remaining-code list and joint fit.
+	power        []float64
+	env          []float64
+	alignRows    [][]float64
+	envRows      [][]float64
+	cohRows      [][]complex128
+	sicWork      []complex128
+	sicEnv       []float64
+	sicDets      []detSlot
+	sicRemaining []int
+	sicFit       sicFit
 	// Fast sync-path scratch: the buffer's power prefix sums (every
 	// moving-window statistic of the sync stage reads them in O(1)) and
 	// the chip-rate decimated envelope of the alignment span.
