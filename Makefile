@@ -24,6 +24,7 @@ FUZZTIME ?= 20s
 fuzz:
 	go test ./internal/pn/ -fuzz FuzzGoldBalance -fuzztime $(FUZZTIME) -run '^$$'
 	go test ./internal/rx/ -fuzz FuzzFrameSync -fuzztime $(FUZZTIME) -run '^$$'
+	go test ./internal/sim/ -fuzz FuzzScenarioJSON -fuzztime $(FUZZTIME) -run '^$$'
 
 bench:
 	go test ./internal/sim/ -run '^$$' -bench BenchmarkCampaignFig8a -benchtime 1x

@@ -68,7 +68,8 @@ type (
 	Room = geom.Room
 	// Multipath is an optional tapped-delay echo profile.
 	Multipath = channel.Multipath
-	// Interferer injects external signals (WiFi, Bluetooth) into a run.
+	// Interferer injects one external signal (WiFi or Bluetooth) into a
+	// run: set exactly one of its fields.
 	Interferer = channel.Interferer
 	// WiFiInterferer and BluetoothInterferer are the Fig. 12 coexistence
 	// models.

@@ -15,11 +15,11 @@ import (
 )
 
 // submitRequest is the POST /v1/campaigns body. Points unmarshal directly
-// into sim.Scenario — the scenario's exported fields ARE the wire schema —
-// with two server-owned exceptions scrubbed after decode: Workers (the
-// daemon owns the execution budget) and Obs (attached per job). Interferer
-// and trace-replay configuration are not representable over JSON today;
-// submissions needing them run through cbmasim.
+// into sim.Scenario, whose JSON form IS the request schema (interferers
+// included, e.g. "Interferers":[{"wifi":{"PowerDBm":-54}}]). Workers and Obs
+// are not part of it: the daemon owns the execution budget and attaches
+// telemetry per job. Trace replay is an engine call, not scenario data, so
+// it runs through cbmasim.
 type submitRequest struct {
 	// What labels the campaign in errors, events and manifests.
 	What string `json:"what"`
@@ -194,7 +194,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	jobObs := obs.New(obs.Config{Clock: obs.SystemClock(), Sink: sink})
 	jobObs.EnsureTrace()
 	for i := range points {
-		points[i].Workers = 0
 		points[i].Obs = jobObs
 	}
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cbma/internal/channel"
 	"cbma/internal/obs"
 	"cbma/internal/serve/batch"
 	"cbma/internal/serve/core"
@@ -116,6 +117,14 @@ func quickScenario(seed int64) sim.Scenario {
 	return scn
 }
 
+// fig12Scenario is a Fig. 12 coexistence point: the quick scenario under
+// one interferer at the study's level, 14 dB above the noise floor.
+func fig12Scenario(seed int64, it channel.Interferer) sim.Scenario {
+	scn := quickScenario(seed)
+	scn.Interferers = []channel.Interferer{it}
+	return scn
+}
+
 func scenarioJSON(t *testing.T, scns ...sim.Scenario) string {
 	t.Helper()
 	b, err := json.Marshal(map[string]any{"what": "e2e", "points": scns})
@@ -126,13 +135,20 @@ func scenarioJSON(t *testing.T, scns ...sim.Scenario) string {
 }
 
 // The acceptance criterion end to end: metrics served by cbmad over HTTP
-// are bit-identical to a direct sim.RunCampaign of the same scenarios, and
-// a second identical submission is answered from the cache — zero
-// additional executed points, every result flagged Cached, and the
-// serve.cache.hits counter advanced.
+// are bit-identical to a direct sim.RunCampaign of the same scenarios —
+// Fig. 12 WiFi and Bluetooth coexistence points included — and a second
+// identical submission is answered from the cache: zero additional
+// executed points, every result flagged Cached, and the serve.cache.hits
+// counter advanced.
 func TestDaemonServesBitIdenticalAndCaches(t *testing.T) {
 	d := startDaemon(t)
-	points := []sim.Scenario{quickScenario(7), quickScenario(8)}
+	interfDBm := sim.DefaultScenario().Channel.NoiseFloorDBm + 14
+	points := []sim.Scenario{
+		quickScenario(7),
+		quickScenario(8),
+		fig12Scenario(9, channel.Interferer{WiFi: &channel.WiFiInterferer{PowerDBm: interfDBm}}),
+		fig12Scenario(10, channel.Interferer{Bluetooth: &channel.BluetoothInterferer{PowerDBm: interfDBm}}),
+	}
 
 	direct, err := sim.RunCampaign(points, sim.CampaignOpts{What: "direct"})
 	if err != nil {
@@ -284,6 +300,19 @@ func TestDaemonRejectsBadSubmissions(t *testing.T) {
 			s.NumTags = -1 // fails scenario validation inside Hash()
 			return s
 		}()), http.StatusBadRequest},
+		// Points NewEngine would refuse must not get a hash either.
+		{"preamble out of range", scenarioJSON(t, func() sim.Scenario {
+			s := quickScenario(1)
+			s.Frame.PreambleBits = 100
+			return s
+		}()), http.StatusBadRequest},
+		{"more tags than the code family", scenarioJSON(t, func() sim.Scenario {
+			s := quickScenario(1)
+			s.NumTags = 40 // Gold-31 holds 33 codes
+			return s
+		}()), http.StatusBadRequest},
+		{"interferer without a kind", `{"what":"x","points":[{"NumTags":2,"Packets":5,"Interferers":[{}]}]}`, http.StatusBadRequest},
+		{"workers is not schema", `{"what":"x","points":[{"NumTags":2,"Packets":5,"Workers":4}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(d.ts.URL+"/v1/campaigns", "application/json", strings.NewReader(tc.body))

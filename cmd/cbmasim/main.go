@@ -178,9 +178,9 @@ func run(ctx context.Context, args []string) error {
 	switch *interf {
 	case "":
 	case "wifi":
-		scn.Interferers = []cbma.Interferer{&cbma.WiFiInterferer{PowerDBm: scn.Channel.NoiseFloorDBm + 14}}
+		scn.Interferers = []cbma.Interferer{{WiFi: &cbma.WiFiInterferer{PowerDBm: scn.Channel.NoiseFloorDBm + 14}}}
 	case "bluetooth":
-		scn.Interferers = []cbma.Interferer{&cbma.BluetoothInterferer{PowerDBm: scn.Channel.NoiseFloorDBm + 14}}
+		scn.Interferers = []cbma.Interferer{{Bluetooth: &cbma.BluetoothInterferer{PowerDBm: scn.Channel.NoiseFloorDBm + 14}}}
 	case "ofdm":
 		scn.OFDMExcitation = true
 	default:

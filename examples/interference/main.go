@@ -40,8 +40,8 @@ func run() error {
 	// The same knobs are available directly for custom scenarios:
 	custom := scn
 	custom.Interferers = []cbma.Interferer{
-		&cbma.WiFiInterferer{PowerDBm: -50, DutyCycle: 0.6},
-		&cbma.BluetoothInterferer{PowerDBm: -50},
+		{WiFi: &cbma.WiFiInterferer{PowerDBm: -50, DutyCycle: 0.6}},
+		{Bluetooth: &cbma.BluetoothInterferer{PowerDBm: -50}},
 	}
 	engine, err := cbma.NewEngine(custom)
 	if err != nil {

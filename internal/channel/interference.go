@@ -1,17 +1,41 @@
 package channel
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 
 	"cbma/internal/dsp"
 )
 
-// Interferer adds an external interference waveform into a received sample
-// buffer. Implementations are stateless across calls except through rng;
-// each Apply covers one observation window at the given sample rate.
-type Interferer interface {
-	Apply(rng *rand.Rand, samples []complex128, sampleRateHz float64)
+// ErrInterfererKind reports an Interferer with zero or several kinds set.
+var ErrInterfererKind = errors.New("channel: interferer must set exactly one of wifi, bluetooth")
+
+// Interferer is one external interference source of a scenario, as plain
+// data: exactly one of its fields is set, so its JSON form names the kind,
+// e.g. {"wifi":{"PowerDBm":-54}}.
+type Interferer struct {
+	WiFi      *WiFiInterferer      `json:"wifi,omitempty"`
+	Bluetooth *BluetoothInterferer `json:"bluetooth,omitempty"`
+}
+
+// Validate reports ErrInterfererKind unless exactly one kind is set.
+func (i Interferer) Validate() error {
+	if (i.WiFi != nil) == (i.Bluetooth != nil) {
+		return ErrInterfererKind
+	}
+	return nil
+}
+
+// Apply adds the set kind's waveform into samples. Each kind's draws depend
+// only on rng, so one observation window consumes a deterministic stream.
+func (i Interferer) Apply(rng *rand.Rand, samples []complex128, sampleRateHz float64) {
+	switch {
+	case i.WiFi != nil:
+		i.WiFi.Apply(rng, samples, sampleRateHz)
+	case i.Bluetooth != nil:
+		i.Bluetooth.Apply(rng, samples, sampleRateHz)
+	}
 }
 
 // WiFiInterferer models coexisting WiFi traffic: CSMA/CA bursts that occupy
@@ -32,9 +56,7 @@ type WiFiInterferer struct {
 	MeanBurstSec float64
 }
 
-var _ Interferer = (*WiFiInterferer)(nil)
-
-// Apply implements Interferer.
+// Apply adds the duty-cycled bursts into samples.
 func (w *WiFiInterferer) Apply(rng *rand.Rand, samples []complex128, sampleRateHz float64) {
 	duty := w.DutyCycle
 	if duty <= 0 {
@@ -99,9 +121,7 @@ type BluetoothInterferer struct {
 	InBandProb float64
 }
 
-var _ Interferer = (*BluetoothInterferer)(nil)
-
-// Apply implements Interferer.
+// Apply adds the in-band hops into samples.
 func (b *BluetoothInterferer) Apply(rng *rand.Rand, samples []complex128, sampleRateHz float64) {
 	hop := b.HopPeriodSec
 	if hop <= 0 {
@@ -151,11 +171,9 @@ type BurstInterferer struct {
 	MeanBurstSec float64
 }
 
-var _ Interferer = (*BurstInterferer)(nil)
-
-// Apply implements Interferer: one wideband Gaussian burst at a random
-// offset. Draws happen in a fixed order (start, then duration) so the
-// consumed stream length is deterministic.
+// Apply adds one wideband Gaussian burst at a random offset. Draws happen
+// in a fixed order (start, then duration) so the consumed stream length is
+// deterministic.
 func (b *BurstInterferer) Apply(rng *rand.Rand, samples []complex128, sampleRateHz float64) {
 	if len(samples) == 0 {
 		return

@@ -1,6 +1,9 @@
 package pn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Family enumerates the spreading-code families the simulator supports.
 type Family int
@@ -199,6 +202,35 @@ func NewSet(f Family, n int, goldDegree uint) (*Set, error) {
 		return NewKasamiSet(goldDegree, n)
 	default:
 		return nil, fmt.Errorf("pn: unknown code family %v", f)
+	}
+}
+
+// Capacity returns how many users family f can serve at the given
+// Gold/Kasami degree (0 picks 5, as in NewSet) without building the codes,
+// reporting the error NewSet would for an unsupported family or degree. 2NC
+// and Walsh sets grow with the user count, so their capacity is unbounded.
+func Capacity(f Family, goldDegree uint) (int, error) {
+	if goldDegree == 0 {
+		goldDegree = 5
+	}
+	switch f {
+	case FamilyGold:
+		if _, _, err := PreferredPair(goldDegree); err != nil {
+			return 0, err
+		}
+		return 1<<goldDegree + 1, nil // period 2^m − 1, plus the pair itself
+	case FamilyKasami:
+		if goldDegree%2 != 0 {
+			goldDegree++
+		}
+		if _, err := PrimitivePoly(goldDegree); err != nil {
+			return 0, err
+		}
+		return 1 << (goldDegree / 2), nil
+	case Family2NC, FamilyWalsh:
+		return math.MaxInt, nil
+	default:
+		return 0, fmt.Errorf("pn: unknown code family %v", f)
 	}
 }
 

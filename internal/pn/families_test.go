@@ -1,6 +1,10 @@
 package pn
 
-import "testing"
+import (
+	"errors"
+	"math"
+	"testing"
+)
 
 func TestPreferredPairsAreThreeValued(t *testing.T) {
 	for _, deg := range []uint{5, 6, 7, 9} {
@@ -99,6 +103,36 @@ func TestNewGoldSetTooMany(t *testing.T) {
 func TestNewGoldSetUnknownDegree(t *testing.T) {
 	if _, err := NewGoldSet(8, 4); err == nil {
 		t.Fatal("degree without preferred pair must fail")
+	}
+}
+
+// Capacity must predict NewSet exactly: the full family builds, one more
+// user fails with ErrFamilySize, and an unsupported degree fails in both.
+func TestCapacityMatchesNewSet(t *testing.T) {
+	for _, f := range []Family{FamilyGold, FamilyKasami} {
+		for deg := uint(0); deg <= 12; deg++ {
+			capacity, err := Capacity(f, deg)
+			if err != nil {
+				if _, serr := NewSet(f, 1, deg); serr == nil {
+					t.Errorf("%v degree %d: Capacity fails (%v) but NewSet builds", f, deg, err)
+				}
+				continue
+			}
+			if _, err := NewSet(f, capacity, deg); err != nil {
+				t.Errorf("%v degree %d: NewSet(%d) = %v, want the full family", f, deg, capacity, err)
+			}
+			if _, err := NewSet(f, capacity+1, deg); !errors.Is(err, ErrFamilySize) {
+				t.Errorf("%v degree %d: NewSet(%d) = %v, want ErrFamilySize", f, deg, capacity+1, err)
+			}
+		}
+	}
+	for _, f := range []Family{Family2NC, FamilyWalsh} {
+		if capacity, err := Capacity(f, 0); err != nil || capacity != math.MaxInt {
+			t.Errorf("%v: Capacity = %d, %v; want unbounded", f, capacity, err)
+		}
+	}
+	if _, err := Capacity(Family(99), 5); err == nil {
+		t.Error("unknown family: Capacity succeeded")
 	}
 }
 

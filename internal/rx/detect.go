@@ -3,8 +3,6 @@ package rx
 import (
 	"math"
 	"math/cmplx"
-	"sync"
-	"sync/atomic"
 
 	"cbma/internal/dsp"
 )
@@ -30,7 +28,7 @@ func complexRealDot(x []complex128, t []float64) complex128 {
 // sweep holds the precomputed per-code correlation rows of one detection
 // window, produced by the frequency-domain filter bank when the window is
 // large enough for the FFT to pay (see Receiver.buildSweep). rows are
-// read-only once built, so the worker pool shares them freely.
+// read-only once built.
 type sweep struct {
 	lo, count int
 	// coh[id][k] is the coherent preamble correlation of code id at lag
@@ -443,68 +441,22 @@ func (r *Receiver) pickLagFromSweep(sw *sweep, id int) int {
 }
 
 // detectAndDecodeAll runs per-code detection and decoding over the buffer,
-// fanning the codes out across Config.Workers goroutines when configured.
-// The pool lives entirely within this call — workers only read the shared
-// buffer, sweep rows and templates, and write code-indexed slots — so
-// Receive stays sequential-safe for callers. Frames return in code order,
-// matching the serial path.
+// returning frames in code order.
 func (r *Receiver) detectAndDecodeAll(env []float64, x []complex128, globalStart int, noiseW float64) []DecodedFrame {
-	n := r.cfg.Codes.Size()
 	sw := r.buildSweep(env, x, globalStart)
-	workers := r.workerCount(n)
-	if workers <= 1 {
-		var frames []DecodedFrame
-		for id := 0; id < n; id++ {
-			detSp := r.obs.Start(r.hDetect)
-			det, ok := r.detectUser(sw, env, x, id, globalStart, noiseW)
-			detSp.End()
-			if !ok {
-				continue
-			}
-			decSp := r.obs.Start(r.hDecode)
-			f := r.decodeUser(x, id, det.lag, det.phasor)
-			decSp.End()
-			f.Corr = det.corr
-			frames = append(frames, f)
-		}
-		return frames
-	}
-	type slot struct {
-		f  DecodedFrame
-		ok bool
-	}
-	slots := make([]slot, n)
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				id := int(atomic.AddInt64(&next, 1))
-				if id >= n {
-					return
-				}
-				detSp := r.obs.Start(r.hDetect)
-				det, ok := r.detectUser(sw, env, x, id, globalStart, noiseW)
-				detSp.End()
-				if !ok {
-					continue
-				}
-				decSp := r.obs.Start(r.hDecode)
-				f := r.decodeUser(x, id, det.lag, det.phasor)
-				decSp.End()
-				f.Corr = det.corr
-				slots[id] = slot{f: f, ok: true}
-			}
-		}()
-	}
-	wg.Wait()
 	var frames []DecodedFrame
-	for id := 0; id < n; id++ {
-		if slots[id].ok {
-			frames = append(frames, slots[id].f)
+	for id := 0; id < r.cfg.Codes.Size(); id++ {
+		detSp := r.obs.Start(r.hDetect)
+		det, ok := r.detectUser(sw, env, x, id, globalStart, noiseW)
+		detSp.End()
+		if !ok {
+			continue
 		}
+		decSp := r.obs.Start(r.hDecode)
+		f := r.decodeUser(x, id, det.lag, det.phasor)
+		decSp.End()
+		f.Corr = det.corr
+		frames = append(frames, f)
 	}
 	return frames
 }
@@ -516,36 +468,13 @@ type detSlot struct {
 }
 
 // detectInto runs user detection for each of the given codes over one
-// shared sweep and stores code id's outcome in dets[id], fanning out across
-// the worker pool when configured. Workers write disjoint slots, so the
-// stored outcomes are the serial path's whatever the worker count.
+// shared sweep and stores code id's outcome in dets[id].
 func (r *Receiver) detectInto(dets []detSlot, ids []int, env []float64, x []complex128, globalStart int, noiseW float64) {
 	sw := r.buildSweep(env, x, globalStart)
-	workers := r.workerCount(len(ids))
-	if workers <= 1 {
-		for _, id := range ids {
-			det, ok := r.detectUser(sw, env, x, id, globalStart, noiseW)
-			dets[id] = detSlot{det: det, ok: ok}
-		}
-		return
+	for _, id := range ids {
+		det, ok := r.detectUser(sw, env, x, id, globalStart, noiseW)
+		dets[id] = detSlot{det: det, ok: ok}
 	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(atomic.AddInt64(&next, 1))
-				if j >= len(ids) {
-					return
-				}
-				det, ok := r.detectUser(sw, env, x, ids[j], globalStart, noiseW)
-				dets[ids[j]] = detSlot{det: det, ok: ok}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // bestDetection returns the code among ids with the strongest stored
@@ -577,16 +506,6 @@ func (r *Receiver) noteFFTFallback(where string, err error) {
 	if r.obs.EmitsEvents() {
 		r.obs.Emit("rx_fft_fallback", map[string]any{"where": where, "error": err.Error()})
 	}
-}
-
-// workerCount bounds the per-call worker pool by the configured fan-out and
-// the number of codes to scan.
-func (r *Receiver) workerCount(n int) int {
-	w := r.cfg.Workers
-	if w > n {
-		w = n
-	}
-	return w
 }
 
 // energyOf returns Σ|x[i]|².

@@ -186,71 +186,7 @@ func TestReceiveFFTPathMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestReceiveWorkersEquivalence runs the same collision through a serial
-// receiver and a worker-pool receiver (with and without SIC) and requires
-// byte-identical results — the pool only changes scheduling, never values
-// or ordering.
-func TestReceiveWorkersEquivalence(t *testing.T) {
-	const nTags = 6
-	set := goldSet(t, nTags)
-	payloads := make([][]byte, nTags)
-	gains := make([]complex128, nTags)
-	offsets := make([]int, nTags)
-	for i := range payloads {
-		payloads[i] = []byte{byte(0x10 + i), byte(0x20 + i), 0x77}
-		gains[i] = amp(16 + float64(2*i))
-	}
-	lead := 60 * testSPC
-	buf := buildScenario(t, set, payloads, gains, offsets, lead, 150)
-
-	for _, sic := range []bool{false, true} {
-		cfg := Config{
-			Codes:          set,
-			SamplesPerChip: testSPC,
-			NoiseFloorW:    testNoise,
-			SearchChips:    1,
-			SIC:            sic,
-		}
-		serial, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Workers = 4
-		pooled, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := serial.Receive(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := pooled.Receive(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := "workers"
-		if sic {
-			label = "workers+sic"
-		}
-		sameResult(t, label, want, got)
-		// A second pass through the same (scratch-reusing) receivers must
-		// reproduce the first exactly.
-		again, err := pooled.Receive(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, label+" rerun", got, again)
-	}
-}
-
-func TestConfigRejectsNegativeWorkers(t *testing.T) {
-	set := goldSet(t, 2)
-	if _, err := New(Config{Codes: set, Workers: -1}); err == nil {
-		t.Fatal("negative Workers must be rejected")
-	}
-}
-
-func benchmarkReceive(b *testing.B, set *pn.Set, nTags, workers int, sic bool) {
+func benchmarkReceive(b *testing.B, set *pn.Set, nTags int, sic bool) {
 	payloads := make([][]byte, nTags)
 	gains := make([]complex128, nTags)
 	offsets := make([]int, nTags)
@@ -269,7 +205,6 @@ func benchmarkReceive(b *testing.B, set *pn.Set, nTags, workers int, sic bool) {
 		SamplesPerChip: testSPC,
 		NoiseFloorW:    testNoise,
 		SearchChips:    1,
-		Workers:        workers,
 		SIC:            sic,
 	})
 	if err != nil {
@@ -297,7 +232,7 @@ func BenchmarkReceive31Gold10Tags(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchmarkReceive(b, set, 10, 0, false)
+	benchmarkReceive(b, set, 10, false)
 }
 
 // BenchmarkReceiveSIC31Gold10Tags is the same collision through the SIC
@@ -308,7 +243,7 @@ func BenchmarkReceiveSIC31Gold10Tags(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchmarkReceive(b, set, 10, 0, true)
+	benchmarkReceive(b, set, 10, true)
 }
 
 // BenchmarkReceive127Gold10Tags is the long-code case where the alignment
@@ -318,14 +253,5 @@ func BenchmarkReceive127Gold10Tags(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchmarkReceive(b, set, 10, 0, false)
-}
-
-// BenchmarkReceive127Gold10TagsWorkers4 adds the opt-in per-code fan-out.
-func BenchmarkReceive127Gold10TagsWorkers4(b *testing.B) {
-	set, err := pn.NewGoldSet(7, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchmarkReceive(b, set, 10, 4, false)
+	benchmarkReceive(b, set, 10, false)
 }

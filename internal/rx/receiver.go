@@ -73,12 +73,6 @@ type Config struct {
 	// preamble phase estimate goes stale within a fraction of a frame at
 	// tens of ppm. Off by default to match the paper's receiver.
 	PhaseTracking bool
-	// Workers opts into fanning the per-code detection/decode sweep out
-	// across this many goroutines within each Receive call. 0 or 1 keeps
-	// the single-goroutine path. The pool never outlives the call, so a
-	// Receiver stays safe for sequential reuse either way; results are
-	// returned in code order and are identical to the serial path.
-	Workers int
 	// Obs, when non-nil, times the receiver phases (frame sync, user
 	// detection, chip decode) into the observer's registry. Purely
 	// observational: no receiver decision reads it, so decode results are
@@ -132,9 +126,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CFARThreshold == 0 {
 		c.CFARThreshold = 16
-	}
-	if c.Workers < 0 {
-		return c, errors.New("rx: workers must be >= 0")
 	}
 	if _, err := c.Frame.Preamble(); err != nil {
 		return c, err

@@ -553,13 +553,12 @@ func sameFramesExact(t *testing.T, label string, want, got []DecodedFrame, withS
 	}
 }
 
-// TestSICWorkersAndReuseEquivalence decodes collisions that include CRC
-// failures (so later passes reuse cached detections over an unchanged
-// residual) with Workers 0, 2 and 4, and requires identical Results from
-// all three — frames, payloads, correlation and SNR bits, lags — equal to
-// the from-scratch reference loop, and equal again on a rerun through the
-// same scratch-reusing receiver.
-func TestSICWorkersAndReuseEquivalence(t *testing.T) {
+// TestSICReuseEquivalence decodes collisions that include CRC failures (so
+// later passes reuse cached detections over an unchanged residual) and
+// requires the Result — frames, payloads, correlation and SNR bits, lags —
+// to equal the from-scratch reference loop, and to equal itself again on a
+// rerun through the same scratch-reusing receiver.
+func TestSICReuseEquivalence(t *testing.T) {
 	gold := goldSet(t, 10)
 	twonc, err := pn.New2NCSet(6)
 	if err != nil {
@@ -596,34 +595,25 @@ func TestSICWorkersAndReuseEquivalence(t *testing.T) {
 
 	failedThenMore := 0
 	for ci, c := range cases {
-		var results []Result
-		for _, workers := range []int{0, 2, 4} {
-			r, err := New(Config{Codes: c.set, SamplesPerChip: testSPC, NoiseFloorW: testNoise, SearchChips: 1, SIC: true, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := r.ReceiveAt(c.buf, c.lead)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("case %d workers=%d", ci, workers)
-			ref := referenceSICFrames(r, c.buf, res.GlobalStart, res.NoiseW)
-			sameFramesExact(t, label+" vs reference", ref, res.Frames, false)
-			again, err := r.ReceiveAt(c.buf, c.lead)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, label+" rerun", res, again)
-			sameFramesExact(t, label+" rerun", res.Frames, again.Frames, true)
-			results = append(results, res)
+		r, err := New(Config{Codes: c.set, SamplesPerChip: testSPC, NoiseFloorW: testNoise, SearchChips: 1, SIC: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 1; i < len(results); i++ {
-			sameResult(t, fmt.Sprintf("case %d pool %d", ci, i), results[0], results[i])
-			sameFramesExact(t, fmt.Sprintf("case %d pool %d", ci, i), results[0].Frames, results[i].Frames, true)
+		res, err := r.ReceiveAt(c.buf, c.lead)
+		if err != nil {
+			t.Fatal(err)
 		}
-		frames := results[0].Frames
-		for i := 0; i+1 < len(frames); i++ {
-			if !frames[i].OK && !errors.Is(frames[i].Err, ErrGhost) {
+		label := fmt.Sprintf("case %d", ci)
+		ref := referenceSICFrames(r, c.buf, res.GlobalStart, res.NoiseW)
+		sameFramesExact(t, label+" vs reference", ref, res.Frames, false)
+		again, err := r.ReceiveAt(c.buf, c.lead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, label+" rerun", res, again)
+		sameFramesExact(t, label+" rerun", res.Frames, again.Frames, true)
+		for i := 0; i+1 < len(res.Frames); i++ {
+			if !res.Frames[i].OK && !errors.Is(res.Frames[i].Err, ErrGhost) {
 				failedThenMore++
 			}
 		}

@@ -152,12 +152,11 @@ func TestServiceDiskCorruptionRecomputed(t *testing.T) {
 // must still be served and cached, and zero-metric failures must never be
 // cached.
 func TestServicePartialFailure(t *testing.T) {
-	runner := &countingRunner{inner: CampaignRunner{}}
+	runner := &countingRunner{inner: failingSeedRunner(3)}
 	store := NewMemoryStore(0)
 	svc := &Service{Runner: runner, Store: store, Obs: obs.New(obs.Config{})}
 
-	bad := quickScenario(3)
-	bad.GoldDegree = 13 // unsupported degree: engine construction fails
+	bad := quickScenario(3) // hashes, then fails in the runner
 	points := []sim.Scenario{quickScenario(1), bad, quickScenario(2)}
 
 	res, err := svc.Run(context.Background(), points, sim.CampaignOpts{What: "partial"})
@@ -234,6 +233,27 @@ func TestServiceInterruptedNotCached(t *testing.T) {
 	if store.Len() != 0 {
 		t.Errorf("store holds %d entries, want 0 (interrupted run cached)", store.Len())
 	}
+}
+
+// failingSeedRunner runs points through the engine but fails every point
+// with the given seed the way an execution failure surfaces: zero Metrics
+// and a PointError in the runner's own indexing. Every point that hashes
+// also builds an engine, so a real scenario cannot provoke this.
+func failingSeedRunner(seed int64) Runner {
+	return runnerFunc(func(ctx context.Context, points []sim.Scenario, opts sim.CampaignOpts) ([]sim.Metrics, error) {
+		ms, err := CampaignRunner{}.Run(ctx, points, opts)
+		cerr := &sim.CampaignError{}
+		for i, p := range points {
+			if p.Seed == seed {
+				ms[i] = sim.Metrics{}
+				cerr.Points = append(cerr.Points, &sim.PointError{What: opts.What, Point: i, Err: errors.New("injected point failure")})
+			}
+		}
+		if err == nil && len(cerr.Points) > 0 {
+			err = cerr
+		}
+		return ms, err
+	})
 }
 
 // runnerFunc adapts a function to Runner.

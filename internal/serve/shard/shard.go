@@ -321,7 +321,10 @@ func (c *Coordinator) attempt(ctx context.Context, t *task, points []sim.Scenari
 	t.dispatch++
 	for _, i := range a.Indices {
 		scn := points[i]
-		scn.Obs = nil // telemetry stays coordinator-side (and off the wire)
+		// Telemetry reaches the coordinator through the transport (the
+		// worker's own observer), and the engine budget through a.Workers,
+		// on the Local transport as over the wire.
+		scn.Obs = nil
 		scn.Workers = 0
 		a.Points = append(a.Points, scn)
 		a.Hashes = append(a.Hashes, hashes[i])

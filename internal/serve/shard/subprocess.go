@@ -7,7 +7,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -41,14 +40,9 @@ import (
 // snapshot (its events were streamed live). Unknown message types are
 // ignored for forward compatibility.
 
-// wireVersion is the protocol version; a worker refuses any other.
-const wireVersion = 1
-
-// ErrNotWireable marks an assignment whose scenarios do not survive the
-// JSON round trip with their content hash intact — e.g. interferer
-// implementations, which are not representable over JSON today. Such
-// campaigns must run on the in-process transport.
-var ErrNotWireable = errors.New("shard: scenario does not survive the wire (run in-process)")
+// wireVersion is the protocol version; a worker refuses any other. Version
+// 2 carries points in the v2 plain-data Scenario form.
+const wireVersion = 2
 
 // wireRequest is the worker's stdin document.
 type wireRequest struct {
@@ -121,23 +115,7 @@ func (s *Subprocess) Execute(ctx context.Context, a Assignment, sink Sink) error
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNotWireable, err)
-	}
-	// Pre-flight wire-fidelity check: the scenarios must decode back to
-	// the same content hash, or the worker would run (or refuse) the
-	// wrong computation. Catching it here turns a latent wrong-result
-	// hazard into an immediate, typed error.
-	var echo wireRequest
-	if err := json.Unmarshal(body, &echo); err != nil {
-		return fmt.Errorf("%w: %v", ErrNotWireable, err)
-	}
-	for j := range echo.Points {
-		echo.Points[j].Obs = nil
-		echo.Points[j].Workers = 0
-		h, err := echo.Points[j].Hash()
-		if err != nil || h != a.Hashes[j] {
-			return fmt.Errorf("%w: point %d hash mismatch after round trip", ErrNotWireable, a.Indices[j])
-		}
+		return fmt.Errorf("shard: encoding assignment: %w", err)
 	}
 
 	cmd := exec.CommandContext(ctx, s.cfg.Argv[0], s.cfg.Argv[1:]...)

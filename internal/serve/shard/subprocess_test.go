@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cbma/internal/channel"
 	"cbma/internal/obs"
 	"cbma/internal/sim"
 )
@@ -48,12 +49,22 @@ func testSubprocess(t *testing.T, env ...string) *Subprocess {
 // TestSubprocessShardedEquivalence: the full wire path — coordinator →
 // exec'd worker process → JSONL results back — produces metrics
 // bit-identical (serialized form) to single-process sim.RunCampaign,
-// including the faulted profile point.
+// including the faulted profile point and Fig. 12 WiFi and Bluetooth
+// coexistence points, whose interferers cross the wire as plain data.
 func TestSubprocessShardedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
 	points := campaignPoints(t, false)
+	interfDBm := sim.DefaultScenario().Channel.NoiseFloorDBm + 14
+	for i, it := range []channel.Interferer{
+		{WiFi: &channel.WiFiInterferer{PowerDBm: interfDBm}},
+		{Bluetooth: &channel.BluetoothInterferer{PowerDBm: interfDBm}},
+	} {
+		scn := points[i]
+		scn.Interferers = []channel.Interferer{it}
+		points = append(points, scn)
+	}
 	want, err := sim.RunCampaign(points, sim.CampaignOpts{Workers: 2, What: "wire"})
 	if err != nil {
 		t.Fatal(err)
@@ -122,10 +133,11 @@ func (m mustNotRunTransport) Execute(ctx context.Context, a Assignment, sink Sin
 	return errors.New("must not run")
 }
 
-// TestSubprocessNotWireable: a scenario that cannot round-trip JSON with
-// its hash intact (interferer implementations) is refused before any
-// worker spawns, with the typed ErrNotWireable.
-func TestSubprocessNotWireable(t *testing.T) {
+// TestSubprocessRefusesTamperedHash: an assignment whose hash does not
+// match its scenario crosses the wire, and the worker process refuses it
+// before running anything — the attempt fails naming the mismatch and no
+// result is delivered.
+func TestSubprocessRefusesTamperedHash(t *testing.T) {
 	scn := sim.DefaultScenario()
 	scn.Packets = 4
 	h, err := scn.Hash()
@@ -138,18 +150,26 @@ func TestSubprocessNotWireable(t *testing.T) {
 		Points:  []sim.Scenario{scn},
 		Hashes:  []string{h + "tampered"},
 	}
-	err = tr.Execute(context.Background(), a, discardSink{})
-	if !errors.Is(err, ErrNotWireable) {
-		t.Fatalf("err = %v, want ErrNotWireable", err)
+	var sink countingSink
+	err = tr.Execute(context.Background(), a, &sink)
+	if err == nil || !strings.Contains(err.Error(), "hash mismatch") {
+		t.Fatalf("err = %v, want the worker's hash mismatch", err)
+	}
+	if sink.delivered != 0 {
+		t.Fatalf("%d results delivered for a refused assignment", sink.delivered)
 	}
 }
 
-type discardSink struct{}
+// countingSink counts deliveries and discards everything else.
+type countingSink struct{ delivered int }
 
-func (discardSink) Beat()                     {}
-func (discardSink) Deliver(PointResult) error { return nil }
-func (discardSink) Event(obs.Event)           {}
-func (discardSink) Telemetry(obs.Snapshot)    {}
+func (*countingSink) Beat() {}
+func (c *countingSink) Deliver(PointResult) error {
+	c.delivered++
+	return nil
+}
+func (*countingSink) Event(obs.Event)        {}
+func (*countingSink) Telemetry(obs.Snapshot) {}
 
 // TestServeWorkerRefusesHashMismatch: the worker re-derives every
 // scenario hash and refuses an assignment whose content does not match —
@@ -349,7 +369,7 @@ func TestReadStreamRejectsBadChecksum(t *testing.T) {
 	good := sha256.Sum256(payload)
 	_ = good
 	line, _ := json.Marshal(wireMsg{Type: "result", Sum: "deadbeef", Payload: payload})
-	_, err := readStream(bytes.NewReader(append(line, '\n')), discardSink{})
+	_, err := readStream(bytes.NewReader(append(line, '\n')), &countingSink{})
 	if !errors.Is(err, ErrCorruptReply) {
 		t.Fatalf("err = %v, want ErrCorruptReply", err)
 	}

@@ -34,8 +34,8 @@ type Assignment struct {
 	// Indices are the campaign point indices in this attempt.
 	Indices []int
 	// Points are the scenarios, indexed like Indices. Obs and Workers are
-	// stripped: telemetry stays coordinator-side and the engine budget
-	// travels in Workers below.
+	// cleared: telemetry flows back through the transport and the engine
+	// budget travels in Workers below.
 	Points []sim.Scenario
 	// Hashes are the points' Scenario.Hash() identities, indexed like
 	// Indices; workers re-derive and verify them (wire-fidelity check).

@@ -46,14 +46,9 @@ func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, runner core.Runn
 		return writeFatal(w, fmt.Errorf("malformed assignment: %d points, %d indices, %d hashes",
 			len(req.Points), len(req.Indices), len(req.Hashes)))
 	}
-	// Re-derive every content hash: a scenario mangled in flight (or one
-	// that cannot round-trip JSON) must be refused, never silently run as
-	// a different computation. The JSON decoder can materialize an empty
-	// Observer behind Scenario.Obs; scrub it — telemetry is coordinator-
-	// side, and Hash() excludes Obs/Workers anyway.
+	// Re-derive every content hash: a scenario mangled in flight must be
+	// refused, never silently run as a different computation.
 	for j := range req.Points {
-		req.Points[j].Obs = nil
-		req.Points[j].Workers = 0
 		h, err := req.Points[j].Hash()
 		if err != nil {
 			return writeFatal(w, fmt.Errorf("point %d: %v", req.Indices[j], err))

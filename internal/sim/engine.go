@@ -111,7 +111,7 @@ func NewEngine(scn Scenario) (*Engine, error) {
 		SIC:             scn.SIC,
 		PhaseTracking:   scn.PhaseTracking,
 		Obs:             scn.Obs,
-		ReferenceSync:   scn.ReferenceSync,
+		ReferenceSync:   scn.referenceSync,
 		// Under injected clock faults the energy edge can smear past the
 		// sync stage's tolerance; the reader-timed fallback keeps such
 		// rounds decodable instead of silently empty.

@@ -348,10 +348,10 @@ func WorkingConditions(base Scenario) ([]Point, error) {
 	}{
 		{CondClean, func(*Scenario) {}},
 		{CondWiFi, func(s *Scenario) {
-			s.Interferers = []channel.Interferer{&channel.WiFiInterferer{PowerDBm: interfDBm}}
+			s.Interferers = []channel.Interferer{{WiFi: &channel.WiFiInterferer{PowerDBm: interfDBm}}}
 		}},
 		{CondBluetooth, func(s *Scenario) {
-			s.Interferers = []channel.Interferer{&channel.BluetoothInterferer{PowerDBm: interfDBm}}
+			s.Interferers = []channel.Interferer{{Bluetooth: &channel.BluetoothInterferer{PowerDBm: interfDBm}}}
 		}},
 		{CondOFDM, func(s *Scenario) { s.OFDMExcitation = true }},
 	}

@@ -5,134 +5,36 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-
-	"cbma/internal/channel"
-	"cbma/internal/fault"
-	"cbma/internal/geom"
 )
 
-// scenarioHashSchema versions the canonical serialization below. Bump it
-// whenever hashDoc changes shape or a field changes meaning: every cached
-// result and manifest pinned under the old schema then stops matching
-// instead of silently colliding with the new one.
-const scenarioHashSchema = "cbma/scenario/v1"
-
-// hashDoc is the canonical serialization of a Scenario for hashing. It
-// mirrors every result-relevant field of the normalized (validated)
-// scenario with explicit, stable JSON names, so the digest is pinned by the
-// golden tests rather than by Go field order or struct tags drifting.
-//
-// Deliberately excluded, because they are proven result-neutral:
-//
-//   - Workers — rounds draw from per-round RNG streams and commit in round
-//     order, so Metrics are bit-identical at any worker count
-//     (TestRunWorkerEquivalence).
-//   - Obs — telemetry is strictly observational (TestRunObsEquivalence).
-//
-// ReferenceSync IS included even though the sync-equivalence suite proves
-// the two receiver paths bit-identical: the knob exists to debug exactly
-// the situation where that proof has been broken, and a cache must never
-// answer a reference-path request with a fast-path result while someone is
-// chasing such a break.
-type hashDoc struct {
-	Schema          string             `json:"schema"`
-	Seed            int64              `json:"seed"`
-	NumTags         int                `json:"num_tags"`
-	Family          string             `json:"family"`
-	GoldDegree      uint               `json:"gold_degree"`
-	PayloadBytes    int                `json:"payload_bytes"`
-	Packets         int                `json:"packets"`
-	ChipRateHz      float64            `json:"chip_rate_hz"`
-	SampleRateHz    float64            `json:"sample_rate_hz"`
-	PreambleBits    int                `json:"preamble_bits"`
-	Channel         channel.Params     `json:"channel"`
-	Deployment      geom.Deployment    `json:"deployment"`
-	TagLineDistance float64            `json:"tag_line_distance"`
-	JitterChips     float64            `json:"jitter_chips"`
-	ExtraDelayChips []float64          `json:"extra_delay_chips,omitempty"`
-	Interferers     []string           `json:"interferers,omitempty"`
-	OFDMExcitation  bool               `json:"ofdm_excitation"`
-	Multipath       *channel.Multipath `json:"multipath,omitempty"`
-	DetectThreshold float64            `json:"detect_threshold"`
-	SearchChips     int                `json:"search_chips"`
-	SIC             bool               `json:"sic"`
-	PowerControl    bool               `json:"power_control"`
-	PacketsPerRound int                `json:"packets_per_round"`
-	OraclePower     bool               `json:"oracle_power_control"`
-	CFOppm          float64            `json:"cfo_ppm"`
-	PhaseTracking   bool               `json:"phase_tracking"`
-	AckLossProb     float64            `json:"ack_loss_prob"`
-	StaticChannel   bool               `json:"static_channel"`
-	ImpedanceStates int                `json:"impedance_states"`
-	RandomInitImp   bool               `json:"random_initial_impedance"`
-	ReferenceSync   bool               `json:"reference_sync"`
-	Fault           *fault.Profile     `json:"fault,omitempty"`
-}
+// scenarioHashSchema versions the canonical serialization: the JSON form of
+// the normalized Scenario. Bump it whenever a field is added, renamed or
+// changes meaning: every cached result and manifest pinned under the old
+// schema then stops matching instead of silently colliding with the new one.
+const scenarioHashSchema = "cbma/scenario/v2"
 
 // Hash returns the canonical content hash of the scenario — the identity
 // under which results may be cached and manifests pinned. Two scenarios
-// with equal hashes produce bit-identical Metrics: the hash covers every
-// result-relevant field of the NORMALIZED scenario (defaults applied, tags
-// placed — so "payload 0" and "payload 16" hash equally, as they run
-// equally), and the determinism contract (DeriveSeed per-point seeds,
-// worker-count-invariant rounds) supplies the converse. The serialization
-// is stable and golden-tested; see hashDoc for the exact field set and the
-// documented exclusions.
+// with equal hashes produce bit-identical Metrics: the hash covers the
+// NORMALIZED scenario (defaults applied, tags placed, empty slices nil — so
+// "payload 0" and "payload 16" hash equally, as they run equally), and the
+// determinism contract (DeriveSeed per-point seeds, worker-count-invariant
+// rounds) supplies the converse. The fields proven result-neutral (Workers,
+// Obs) are tagged json:"-", so they are excluded by construction.
 //
-// The digest is the hex SHA-256 of the schema-prefixed canonical JSON —
+// The digest is the hex SHA-256 of the schema string followed by the JSON —
 // filename-safe, so content-addressed stores use it directly.
 func (s Scenario) Hash() (string, error) {
 	norm := s
-	norm.Obs = nil
-	norm.Workers = 0
 	if err := norm.validate(); err != nil {
 		return "", fmt.Errorf("sim: hash: %w", err)
 	}
-	doc := hashDoc{
-		Schema:          scenarioHashSchema,
-		Seed:            norm.Seed,
-		NumTags:         norm.NumTags,
-		Family:          norm.Family.String(),
-		GoldDegree:      norm.GoldDegree,
-		PayloadBytes:    norm.PayloadBytes,
-		Packets:         norm.Packets,
-		ChipRateHz:      norm.ChipRateHz,
-		SampleRateHz:    norm.SampleRateHz,
-		PreambleBits:    norm.Frame.PreambleBits,
-		Channel:         norm.Channel,
-		Deployment:      norm.Deployment,
-		TagLineDistance: norm.TagLineDistance,
-		JitterChips:     norm.JitterChips,
-		OFDMExcitation:  norm.OFDMExcitation,
-		Multipath:       norm.Multipath,
-		DetectThreshold: norm.DetectThreshold,
-		SearchChips:     norm.SearchChips,
-		SIC:             norm.SIC,
-		PowerControl:    norm.PowerControl,
-		PacketsPerRound: norm.PacketsPerRound,
-		OraclePower:     norm.OraclePowerControl,
-		CFOppm:          norm.CFOppm,
-		PhaseTracking:   norm.PhaseTracking,
-		AckLossProb:     norm.AckLossProb,
-		StaticChannel:   norm.StaticChannel,
-		ImpedanceStates: norm.ImpedanceStates,
-		RandomInitImp:   norm.RandomInitialImpedance,
-		ReferenceSync:   norm.ReferenceSync,
-		Fault:           norm.Fault,
-	}
-	if len(norm.ExtraDelayChips) > 0 {
-		doc.ExtraDelayChips = norm.ExtraDelayChips
-	}
-	// Interferers are interface values; their JSON encoding alone would
-	// lose the concrete type (WiFi and Bluetooth interferers at the same
-	// power must not collide). Render each as type+fields instead.
-	for _, it := range norm.Interferers {
-		doc.Interferers = append(doc.Interferers, fmt.Sprintf("%T%+v", it, it))
-	}
-	b, err := json.Marshal(doc)
+	b, err := json.Marshal(norm)
 	if err != nil {
 		return "", fmt.Errorf("sim: hash: %w", err)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	h := sha256.New()
+	h.Write([]byte(scenarioHashSchema))
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -5,13 +5,15 @@ import (
 
 	"cbma/internal/channel"
 	"cbma/internal/fault"
+	"cbma/internal/frame"
 	"cbma/internal/obs"
 	"cbma/internal/pn"
 )
 
 // Golden digests for the canonical scenario serialization. These pin the
-// hash across refactors: any change to hashDoc's shape, field names, the
-// normalization rules or the schema constant shows up here first, and a
+// hash across refactors: any change to the Scenario's JSON form (field
+// names, tags), the normalization rules or the schema constant shows up
+// here first, and a
 // deliberate change must bump scenarioHashSchema (old cache entries and
 // manifests then stop matching instead of colliding). The values are the
 // cache keys of every store built on Scenario.Hash, so a silent drift
@@ -32,9 +34,9 @@ func TestScenarioHashGolden(t *testing.T) {
 		scn  Scenario
 		want string
 	}{
-		{"default", DefaultScenario(), "a8ecc22eeadef9ef5eb1ad3efb724301b0094f7e3df444ff442c0de81fefc8a3"},
-		{"variant", variant, "b76a8a86624593993f09c7e8de8e3c94dce331298ab9adce211a02dbd7e96e72"},
-		{"faulted", faulted, "a65d006a77c153921a97f117b8fc9d48d3ab894f2ada87922221a7c9cd191613"},
+		{"default", DefaultScenario(), "282a18be6f4fed22edfe7d769a1fd4bd4cf8e2a8aa05f8775b8c0b7da0a7a7dc"},
+		{"variant", variant, "95c4fdf45c04bd8794f42377042abf3cfedf5ee3b4283e2cf8aceab2167beef8"},
+		{"faulted", faulted, "735c6bd25412049472da20e7d2299cbd5e323c0ca4b1cef026d817bce0f28745"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,6 +66,12 @@ func TestScenarioHashNeutralFields(t *testing.T) {
 		"obs":               func(s *Scenario) { s.Obs = obs.New(obs.Config{}) },
 		"defaulted payload": func(s *Scenario) { s.PayloadBytes = 0 }, // validate restores 16
 		"defaulted rates":   func(s *Scenario) { s.ChipRateHz, s.SampleRateHz = 0, 0 },
+		"defaulted preamble": func(s *Scenario) {
+			s.Frame.PreambleBits = frame.DefaultPreambleBits // validate maps 0 here
+		},
+		"empty slices": func(s *Scenario) {
+			s.ExtraDelayChips, s.Interferers = []float64{}, []channel.Interferer{}
+		},
 	}
 	for name, mod := range neutral {
 		scn := base
@@ -78,9 +86,9 @@ func TestScenarioHashNeutralFields(t *testing.T) {
 	}
 }
 
-// Every result-relevant change must move the digest — including changes
-// that plain JSON of the Scenario would conflate, like two interferer
-// types with identical fields (interface encoding drops the type name).
+// Every result-relevant change must move the digest — including two
+// interferer kinds with identical fields, which the tagged union keeps
+// apart by key.
 func TestScenarioHashSensitivity(t *testing.T) {
 	base := DefaultScenario()
 	baseHash, err := base.Hash()
@@ -95,13 +103,13 @@ func TestScenarioHashSensitivity(t *testing.T) {
 		"packets":  func(s *Scenario) { s.Packets = 101 },
 		"distance": func(s *Scenario) { s.TagLineDistance = 2 },
 		"sic":      func(s *Scenario) { s.SIC = true },
-		"refsync":  func(s *Scenario) { s.ReferenceSync = true },
+		"preamble": func(s *Scenario) { s.Frame.PreambleBits = 16 },
 		"fault":    func(s *Scenario) { s.Fault = &fault.Profile{EnergyOutageProb: 0.1} },
 		"wifi": func(s *Scenario) {
-			s.Interferers = []channel.Interferer{&channel.WiFiInterferer{PowerDBm: -50}}
+			s.Interferers = []channel.Interferer{{WiFi: &channel.WiFiInterferer{PowerDBm: -50}}}
 		},
 		"bluetooth": func(s *Scenario) {
-			s.Interferers = []channel.Interferer{&channel.BluetoothInterferer{PowerDBm: -50}}
+			s.Interferers = []channel.Interferer{{Bluetooth: &channel.BluetoothInterferer{PowerDBm: -50}}}
 		},
 		"extra-delay": func(s *Scenario) { s.ExtraDelayChips = []float64{0, 1} },
 		"multipath":   func(s *Scenario) { mp := channel.DefaultMultipath(); s.Multipath = &mp },
@@ -122,11 +130,34 @@ func TestScenarioHashSensitivity(t *testing.T) {
 }
 
 // An unrunnable scenario must refuse to hash rather than produce a key a
-// store could be polluted under.
+// store could be polluted under — including the points that only
+// NewEngine's code-set and framing construction used to catch.
 func TestScenarioHashInvalid(t *testing.T) {
-	scn := DefaultScenario()
-	scn.NumTags = 0
-	if _, err := scn.Hash(); err == nil {
-		t.Fatal("Hash() of an invalid scenario succeeded, want error")
+	bad := map[string]func(*Scenario){
+		"no tags":        func(s *Scenario) { s.NumTags = 0 },
+		"long preamble":  func(s *Scenario) { s.Frame.PreambleBits = 100 },
+		"short preamble": func(s *Scenario) { s.Frame.PreambleBits = 2 },
+		"family full":    func(s *Scenario) { s.NumTags = 40 }, // Gold-31 holds 33
+		"no gold pair":   func(s *Scenario) { s.GoldDegree = 8 },
+		"unknown family": func(s *Scenario) { s.Family = 99 },
+		"interferer with no kind": func(s *Scenario) {
+			s.Interferers = []channel.Interferer{{}}
+		},
+		"interferer with two kinds": func(s *Scenario) {
+			s.Interferers = []channel.Interferer{{
+				WiFi:      &channel.WiFiInterferer{PowerDBm: -50},
+				Bluetooth: &channel.BluetoothInterferer{PowerDBm: -50},
+			}}
+		},
+	}
+	for name, mod := range bad {
+		scn := DefaultScenario()
+		mod(&scn)
+		if h, err := scn.Hash(); err == nil {
+			t.Errorf("%s: Hash() = %s, want error", name, h)
+		}
+		if _, err := NewEngine(scn); err == nil {
+			t.Errorf("%s: NewEngine succeeded, want error", name)
+		}
 	}
 }

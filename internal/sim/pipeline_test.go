@@ -41,7 +41,7 @@ func workerScenarios(t *testing.T) map[string]Scenario {
 	static.Packets = packets(t, 24)
 	static.StaticChannel = true
 	static.Interferers = []channel.Interferer{
-		&channel.WiFiInterferer{PowerDBm: static.Channel.NoiseFloorDBm + 10},
+		{WiFi: &channel.WiFiInterferer{PowerDBm: static.Channel.NoiseFloorDBm + 10}},
 	}
 	static.OFDMExcitation = true
 

@@ -39,6 +39,9 @@ var (
 
 // Scenario fully describes one experiment configuration. The zero value is
 // not runnable; start from DefaultScenario.
+//
+// A Scenario is plain data: its JSON form (Go field names as keys) is at
+// once the content-hash input, the shard wire and the cbmad request schema.
 type Scenario struct {
 	// Seed drives every random draw; equal seeds give identical runs.
 	Seed int64
@@ -74,7 +77,8 @@ type Scenario struct {
 	// counts (Fig. 11 asynchrony study). Indexed by tag; missing entries
 	// mean zero.
 	ExtraDelayChips []float64
-	// Interferers inject external signals (Fig. 12 WiFi/Bluetooth cases).
+	// Interferers inject external signals (Fig. 12 WiFi/Bluetooth cases),
+	// applied in order; each entry sets exactly one kind.
 	Interferers []channel.Interferer
 	// OFDMExcitation gates tag reflections with an intermittent excitation
 	// envelope (Fig. 12 case iv).
@@ -131,14 +135,15 @@ type Scenario struct {
 	// Workers sets how many goroutines execute the steady-state collision
 	// rounds. Zero or one selects the serial path. Any value produces
 	// bit-identical Metrics — rounds draw from per-round RNG streams and
-	// commit in round order — so Workers is purely a wall-clock knob.
-	Workers int
-	// ReferenceSync forces the receiver's pre-optimization timing
-	// acquisition (rx.Config.ReferenceSync): streaming energy detection and
-	// the exhaustive alignment scan. The sync equivalence tests run every
-	// scenario through both paths and require bit-identical Metrics, which
-	// is the guarantee that lets the fast path be the default.
-	ReferenceSync bool
+	// commit in round order — so Workers is purely a wall-clock knob and
+	// stays out of the JSON form (and with it the hash and the wire).
+	Workers int `json:"-"`
+	// referenceSync forces the receiver's pre-optimization timing
+	// acquisition (rx.Config.ReferenceSync). It is a test seam: the sync
+	// equivalence tests run every scenario through both paths and require
+	// bit-identical Metrics, which is the guarantee that lets the fast path
+	// be the only one a Scenario can ask for.
+	referenceSync bool
 	// Fault, when non-nil, enables the deterministic fault-injection layer
 	// (internal/fault): stuck impedance switches, clock drift, mid-frame
 	// energy outages, ACK loss/corruption, interference bursts, deep fades
@@ -157,8 +162,9 @@ type Scenario struct {
 	// randomness, and it reads time only through its own injected clock — so
 	// Metrics are bit-identical with Obs nil or set, at any worker count
 	// (TestRunObsEquivalence). One observer may be shared by every scenario
-	// of a campaign; all its instruments are concurrency-safe.
-	Obs *obs.Observer
+	// of a campaign; all its instruments are concurrency-safe. Like
+	// Workers, it stays out of the JSON form.
+	Obs *obs.Observer `json:"-"`
 }
 
 // DefaultScenario returns a runnable baseline: 2 tags with Gold-31 codes on
@@ -212,11 +218,37 @@ func (s *Scenario) validate() error {
 	if s.PayloadBytes > frame.MaxPayload {
 		return fmt.Errorf("sim: payload %d exceeds %d", s.PayloadBytes, frame.MaxPayload)
 	}
+	if s.Frame.PreambleBits == 0 {
+		s.Frame.PreambleBits = frame.DefaultPreambleBits
+	}
+	if _, err := s.Frame.Preamble(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	if s.Family == 0 {
 		s.Family = pn.FamilyGold
 	}
 	if s.GoldDegree == 0 {
 		s.GoldDegree = 5
+	}
+	capacity, err := pn.Capacity(s.Family, s.GoldDegree)
+	if err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if s.NumTags > capacity {
+		return fmt.Errorf("sim: %w: want %d, family has %d", pn.ErrFamilySize, s.NumTags, capacity)
+	}
+	for i, it := range s.Interferers {
+		if err := it.Validate(); err != nil {
+			return fmt.Errorf("sim: interferer %d: %w", i, err)
+		}
+	}
+	// Empty and absent slices run identically, so they must serialize (and
+	// hash) identically too.
+	if len(s.ExtraDelayChips) == 0 {
+		s.ExtraDelayChips = nil
+	}
+	if len(s.Interferers) == 0 {
+		s.Interferers = nil
 	}
 	if s.ChipRateHz <= 0 {
 		s.ChipRateHz = DefaultChipRateHz

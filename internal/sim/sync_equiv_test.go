@@ -15,7 +15,7 @@ func TestRunSyncEquivalence(t *testing.T) {
 	for name, scn := range workerScenarios(t) {
 		t.Run(name, func(t *testing.T) {
 			ref := scn
-			ref.ReferenceSync = true
+			ref.referenceSync = true
 			ref.Workers = 1
 			e, err := NewEngine(ref)
 			if err != nil {
@@ -27,7 +27,7 @@ func TestRunSyncEquivalence(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4, 7} {
 				s := scn
-				s.ReferenceSync = false
+				s.referenceSync = false
 				s.Workers = workers
 				e, err := NewEngine(s)
 				if err != nil {
@@ -57,9 +57,9 @@ func TestCampaignSyncEquivalence(t *testing.T) {
 		scn := base
 		scn.NumTags = 2 + i%2
 		scn.Seed = DeriveSeed(base.Seed, 9997, uint64(i))
-		scn.ReferenceSync = true
+		scn.referenceSync = true
 		ref = append(ref, scn)
-		scn.ReferenceSync = false
+		scn.referenceSync = false
 		fast = append(fast, scn)
 	}
 	want, err := RunCampaign(ref, CampaignOpts{Workers: 2})
