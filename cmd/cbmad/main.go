@@ -1,7 +1,8 @@
 // Command cbmad is the campaign service daemon: campaigns become requests,
 // not processes. It accepts scenario/sweep submissions over a JSON HTTP API,
-// coalesces compatible submissions into batched executions sharing one
-// worker budget, and serves results from a content-addressed cache — the
+// runs them as soon as an executor is idle, coalesces compatible
+// submissions that queue behind a busy executor into batched executions
+// sharing one worker budget, and serves results from a content-addressed cache — the
 // simulator's determinism contract (bit-identical Metrics for an identical
 // scenario+seed) is what makes cached results exact, not approximate.
 //
@@ -54,8 +55,7 @@ func run(argv []string) error {
 		cacheEntries = fs.Int("cache-entries", core.DefaultMemoryEntries, "in-memory cache capacity (entries)")
 		diskEntries  = fs.Int("cache-disk-entries", 0, "disk cache capacity in entries (0: unbounded; LRU eviction)")
 		diskBytes    = fs.Int64("cache-disk-bytes", 0, "disk cache capacity in bytes (0: unbounded; LRU eviction)")
-		maxBatch     = fs.Int("max-batch", 64, "flush a batch at this many points")
-		maxWait      = fs.Duration("max-wait", 150*time.Millisecond, "flush a non-full batch after this long")
+		maxBatch     = fs.Int("max-batch", 64, "cap on the queued points one batch takes")
 		workers      = fs.Int("workers", 0, "engine worker budget per executing batch (0: GOMAXPROCS)")
 		parallel     = fs.Int("parallel", 1, "concurrently executing batches")
 		drainWait    = fs.Duration("drain-wait", 30*time.Second, "shutdown budget for in-flight batches")
@@ -111,7 +111,6 @@ func run(argv []string) error {
 	b := batch.New(batch.Config{
 		Service:  svc,
 		MaxBatch: *maxBatch,
-		MaxWait:  *maxWait,
 		Workers:  *workers,
 		Parallel: *parallel,
 		Obs:      o,
@@ -126,8 +125,8 @@ func run(argv []string) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("cbmad %s listening on %s (cache-dir=%q mem-entries=%d max-batch=%d max-wait=%s workers=%d parallel=%d shards=%d journal-dir=%q)",
-		obs.Version(), ln.Addr(), *cacheDir, *cacheEntries, *maxBatch, *maxWait, *workers, *parallel, *shards, *journalDir)
+	log.Printf("cbmad %s listening on %s (cache-dir=%q mem-entries=%d max-batch=%d workers=%d parallel=%d shards=%d journal-dir=%q)",
+		obs.Version(), ln.Addr(), *cacheDir, *cacheEntries, *maxBatch, *workers, *parallel, *shards, *journalDir)
 
 	errc := make(chan error, 1)
 	//cbma:fireforget serve loop exits via httpSrv.Shutdown below; errc is buffered so the send never strands it

@@ -9,6 +9,7 @@ package rx
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"cbma/internal/dsp"
 	"cbma/internal/frame"
@@ -158,25 +159,20 @@ type Receiver struct {
 	// dsp.FilterBank.ShouldUseFFT).
 	bank *dsp.FilterBank
 	// Per-call scratch, reused across Receive calls (the reason a Receiver
-	// is not safe for concurrent use): instantaneous power and envelope of
-	// the buffer, per-code correlation rows for the alignment and
-	// detection sweeps, and the SIC residual buffers, per-code detection
-	// cache, remaining-code list and joint fit.
-	power        []float64
-	env          []float64
+	// is not safe for concurrent use): per-code correlation rows for the
+	// alignment and detection sweeps, the SIC per-code detection cache,
+	// remaining-code list and joint fit, and the chip-rate decimated
+	// envelope of the alignment span.
 	alignRows    [][]float64
 	envRows      [][]float64
 	cohRows      [][]complex128
-	sicWork      []complex128
-	sicEnv       []float64
 	sicDets      []detSlot
 	sicRemaining []int
 	sicFit       sicFit
-	// Fast sync-path scratch: the buffer's power prefix sums (every
-	// moving-window statistic of the sync stage reads them in O(1)) and
-	// the chip-rate decimated envelope of the alignment span.
-	powerPrefix []float64
-	envChips    []float64
+	envChips     []float64
+	// sampleScratch holds the buffer-length scratch, borrowed from
+	// scratchPool for one receive and empty between calls.
+	sampleScratch
 	// Telemetry instruments, pre-resolved at construction (nil-safe no-ops
 	// without Config.Obs). Clones share them: the histograms are atomic, so
 	// parallel round workers aggregate into the same phase timings.
@@ -341,7 +337,37 @@ func (r *Receiver) ReceiveAt(samples []complex128, nominalStart int) (Result, er
 	return r.receive(samples, nominalStart)
 }
 
+// sampleScratch is a receive's buffer-length scratch: the buffer's
+// instantaneous power, its power prefix sums (every moving-window statistic
+// of the fast sync path reads them in O(1)), its envelope, and the SIC
+// residual and residual envelope. Every element is written before it is
+// read, so a buffer handed over by another receive — of another receiver,
+// possibly of another length — cannot change a result.
+type sampleScratch struct {
+	power       []float64
+	powerPrefix []float64
+	env         []float64
+	sicWork     []complex128
+	sicEnv      []float64
+}
+
+// scratchPool shares sample scratch across every receiver of the process:
+// a campaign builds a receiver (and a clone per round worker) for each
+// point, and receivers holding their own buffers for their lifetime made
+// these buffers most of the bytes a short point allocated.
+var scratchPool = sync.Pool{New: func() any { return new(sampleScratch) }}
+
 func (r *Receiver) receive(samples []complex128, nominalStart int) (Result, error) {
+	sc := scratchPool.Get().(*sampleScratch)
+	r.sampleScratch = *sc
+	res, err := r.receiveScratch(samples, nominalStart)
+	*sc, r.sampleScratch = r.sampleScratch, sampleScratch{}
+	scratchPool.Put(sc)
+	return res, err
+}
+
+// receiveScratch is receive with the sample scratch borrowed.
+func (r *Receiver) receiveScratch(samples []complex128, nominalStart int) (Result, error) {
 	var res Result
 	if len(samples) == 0 {
 		return res, dsp.ErrEmptyInput

@@ -1,15 +1,17 @@
 // Package batch turns individual campaign submissions into batched
-// executions: compatible sweep-point submissions are coalesced into one
-// campaign run sharing a worker budget, flushed when the batch fills
-// (size) or ages out (max-wait timer), with cooperative cancellation per
-// job and a graceful drain on shutdown.
+// executions: submissions wait in one arrival-order queue, and an idle
+// executor takes the head job together with every queued job of the same
+// class, up to a point cap, as one campaign run sharing a worker budget.
+// Jobs cancel cooperatively and the queue drains on shutdown.
 //
-// Batching is what makes "campaigns as requests" scale: N clients each
-// submitting a handful of sweep points become one RunCampaignContext call
-// whose points share the engine's worker pool, instead of N processes
-// fighting over cores. Results are unaffected by batching — each point's
-// metrics depend only on its own scenario (per-point DeriveSeed streams),
-// which is also what lets the core layer cache them.
+// Dispatch is work-conserving: a submission that finds an executor idle
+// starts at once, so coalescing happens only while a queue exists — the
+// only time it saves anything. Under load, N clients each submitting a
+// handful of sweep points become one RunCampaignContext call whose points
+// share the engine's worker pool, instead of N processes fighting over
+// cores. Results are unaffected by batching — each point's metrics depend
+// only on its own scenario (per-point DeriveSeed streams), which is also
+// what lets the core layer cache them.
 package batch
 
 import (
@@ -36,24 +38,23 @@ type Config struct {
 	// Service executes flushed batches (cache probe + campaign run).
 	// Required.
 	Service *core.Service
-	// MaxBatch flushes a class's pending queue when it reaches this many
-	// points. Zero selects 64.
+	// MaxBatch caps the points an executor takes into one batch. A single
+	// job larger than the cap still runs, alone. Zero selects 64.
 	MaxBatch int
-	// MaxWait flushes a non-empty pending queue this long after its first
-	// point arrived, bounding the latency a lone submission pays for
-	// batching. Zero selects 150 ms.
+	// Deprecated: ignored; batches dispatch when an executor is idle.
 	MaxWait time.Duration
 	// Workers is the engine worker budget each executing batch spreads
 	// over its points (sim.CampaignOpts.Workers). Zero selects GOMAXPROCS.
 	Workers int
-	// Parallel bounds concurrently executing batches. Zero selects 1: one
-	// batch owns the worker budget at a time, which keeps throughput work-
-	// conserving instead of oversubscribing cores across batches.
+	// Parallel is the number of executors, which bounds concurrently
+	// executing batches. Zero selects 1: one batch owns the worker budget
+	// at a time instead of oversubscribing cores across batches.
 	Parallel int
-	// Obs, when non-nil, receives batch telemetry: flush counters by
-	// trigger (serve.batch.flush.size/timer/drain), per-batch point-count
-	// histogram (serve.batch.points), queue gauge (serve.batch.pending)
-	// and job/batch lifecycle events.
+	// Obs, when non-nil, receives batch telemetry: flush counters by why
+	// the batch ended (serve.batch.flush.size: capped by MaxBatch;
+	// serve.batch.flush.idle: every waiting same-class job was taken),
+	// per-batch point-count histogram (serve.batch.points), queue gauge
+	// (serve.batch.pending) and job/batch lifecycle events.
 	Obs *obs.Observer
 }
 
@@ -63,9 +64,9 @@ type Request struct {
 	// What labels the submission in errors and telemetry.
 	What string
 	// Class is the compatibility class. Only submissions of the same class
-	// coalesce into a batch; classes partition the queue so callers can
-	// keep incompatible work (different priorities, different downstream
-	// handling) from sharing a flush. The empty class is a class.
+	// coalesce into a batch, so callers can keep incompatible work
+	// (different priorities, different downstream handling) from sharing
+	// a run. The empty class is a class.
 	Class string
 	// Points are the campaign points to run.
 	Points []sim.Scenario
@@ -77,7 +78,7 @@ type Job struct {
 	what  string
 	class string
 	// ctx travels with the queued submission so a job cancelled while
-	// still pending never executes; it is consumed once by runBatch.
+	// still queued never executes; it is consumed once by runBatch.
 	ctx    context.Context //cbma:allow ctxflow queued-submission seam, audited
 	points []sim.Scenario
 
@@ -113,14 +114,7 @@ func (j *Job) Batch() int {
 	}
 }
 
-// pending is one class's accumulating batch.
-type pending struct {
-	jobs   []*Job
-	points int
-	timer  *time.Timer
-}
-
-// Batcher coalesces submissions and executes them through a core.Service.
+// Batcher queues submissions and executes them through a core.Service.
 type Batcher struct {
 	cfg Config
 	// base bounds every batch execution to the batcher's lifetime; Close
@@ -129,13 +123,13 @@ type Batcher struct {
 	stop context.CancelFunc
 
 	mu      sync.Mutex
-	classes map[string]*pending
+	queue   []*Job // accepted, not yet taken, in arrival order
+	running int    // executors currently draining the queue
 	nextJob int
 	nextBat int
 	closed  bool
 
-	sem chan struct{} // bounds concurrently executing batches
-	wg  sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // New starts a batcher. Close must be called to drain it.
@@ -143,28 +137,20 @@ func New(cfg Config) *Batcher {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
 	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = 150 * time.Millisecond
-	}
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = 1
 	}
 	//cbma:allow ctxflow batcher-lifetime root: New has no caller ctx by design, Close bounds the drain
 	base, stop := context.WithCancel(context.Background())
-	return &Batcher{
-		cfg:     cfg,
-		base:    base,
-		stop:    stop,
-		classes: make(map[string]*pending),
-		sem:     make(chan struct{}, cfg.Parallel),
-	}
+	return &Batcher{cfg: cfg, base: base, stop: stop}
 }
 
-// Submit enqueues a request. The returned Job completes asynchronously;
-// ctx cancels the job (a job cancelled while still queued never executes;
-// one already executing runs to completion and reports the cancellation).
-// Submission never blocks on execution — backpressure is the semaphore
-// inside the executors, not the intake.
+// Submit enqueues a request and, when fewer than Parallel executors are
+// running, starts one, so a submission that finds an executor idle runs at
+// once. The returned Job completes asynchronously; ctx cancels the job (a
+// job cancelled while still queued never executes; one already executing
+// runs to completion and reports the cancellation). Submission never
+// blocks on execution.
 func (b *Batcher) Submit(ctx context.Context, req Request) (*Job, error) {
 	if len(req.Points) == 0 {
 		return nil, ErrNoPoints
@@ -186,21 +172,12 @@ func (b *Batcher) Submit(ctx context.Context, req Request) (*Job, error) {
 		points: req.Points,
 		done:   make(chan struct{}),
 	}
-	p := b.classes[req.Class]
-	if p == nil {
-		p = &pending{}
-		b.classes[req.Class] = p
-	}
-	wasEmpty := len(p.jobs) == 0
-	p.jobs = append(p.jobs, j)
-	p.points += len(j.points)
+	b.queue = append(b.queue, j)
 	b.cfg.Obs.Gauge("serve.batch.pending").Add(int64(len(j.points)))
-	full := p.points >= b.cfg.MaxBatch
-	if full {
-		b.flushLocked(req.Class, "size")
-	} else if wasEmpty {
-		class := req.Class
-		p.timer = time.AfterFunc(b.cfg.MaxWait, func() { b.timerFlush(class, p) })
+	if b.running < b.cfg.Parallel {
+		b.running++
+		b.wg.Add(1)
+		go b.execute()
 	}
 	b.mu.Unlock()
 	if b.cfg.Obs.EmitsEvents() {
@@ -211,32 +188,46 @@ func (b *Batcher) Submit(ctx context.Context, req Request) (*Job, error) {
 	return j, nil
 }
 
-// timerFlush is the max-wait timer callback for one pending generation.
-// The identity check against the armed *pending is what makes a stale
-// timer harmless: Stop is advisory (the callback may already be running
-// when flushLocked calls it), and without the comparison a timer armed for
-// an already-flushed batch would prematurely flush the NEXT batch of the
-// same class, silently halving its coalescing window.
-func (b *Batcher) timerFlush(class string, p *pending) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if cur := b.classes[class]; cur == p && len(cur.jobs) > 0 {
-		b.flushLocked(class, "timer")
+// execute is one executor: it runs batches off the queue until the queue
+// is empty, then exits. Submit starts executors; Close waits for them.
+func (b *Batcher) execute() {
+	defer b.wg.Done()
+	for {
+		b.mu.Lock()
+		if len(b.queue) == 0 {
+			b.running--
+			b.mu.Unlock()
+			return
+		}
+		seq, jobs := b.takeLocked()
+		b.mu.Unlock()
+		b.runBatch(seq, jobs[0].class, jobs)
 	}
 }
 
-// flushLocked detaches the class's pending batch and hands it to an
-// executor goroutine. Caller holds b.mu.
-func (b *Batcher) flushLocked(class, why string) {
-	p := b.classes[class]
-	if p == nil || len(p.jobs) == 0 {
-		return
+// takeLocked removes the next batch from the queue: the head job, then
+// every queued job of its class in arrival order while the batch stays
+// within MaxBatch points. Caller holds b.mu; the queue is non-empty.
+func (b *Batcher) takeLocked() (int, []*Job) {
+	head := b.queue[0]
+	jobs := []*Job{head}
+	points := len(head.points)
+	why := "idle"
+	rest := b.queue[:0]
+	for _, j := range b.queue[1:] {
+		switch {
+		case j.class != head.class:
+		case why == "idle" && points+len(j.points) <= b.cfg.MaxBatch:
+			jobs = append(jobs, j)
+			points += len(j.points)
+			continue
+		default:
+			why = "size" // keeps its class's later jobs behind it, in order
+		}
+		rest = append(rest, j)
 	}
-	if p.timer != nil {
-		p.timer.Stop()
-	}
-	jobs, points := p.jobs, p.points
-	delete(b.classes, class)
+	clear(b.queue[len(rest):])
+	b.queue = rest
 	b.nextBat++
 	seq := b.nextBat
 	b.cfg.Obs.Counter("serve.batch.flush." + why).Inc()
@@ -244,22 +235,17 @@ func (b *Batcher) flushLocked(class, why string) {
 	b.cfg.Obs.Histogram("serve.batch.points").Observe(int64(points))
 	if b.cfg.Obs.EmitsEvents() {
 		b.cfg.Obs.Emit("batch_flush", map[string]any{
-			"batch": seq, "class": class, "why": why,
+			"batch": seq, "class": head.class, "why": why,
 			"jobs": len(jobs), "points": points,
 		})
 	}
-	b.wg.Add(1)
-	go b.runBatch(seq, class, jobs)
+	return seq, jobs
 }
 
-// runBatch executes one flushed batch: cancelled jobs are completed
-// without running, the rest run as a single campaign sharing the worker
-// budget, and results are split back per job.
+// runBatch executes one taken batch: cancelled jobs are completed without
+// running, the rest run as a single campaign sharing the worker budget,
+// and results are split back per job.
 func (b *Batcher) runBatch(seq int, class string, jobs []*Job) {
-	defer b.wg.Done()
-	b.sem <- struct{}{}
-	defer func() { <-b.sem }()
-
 	live := jobs[:0:0]
 	var points []sim.Scenario
 	for _, j := range jobs {
@@ -336,20 +322,14 @@ func (j *Job) finish(seq int, results []core.PointResult, err error, o *obs.Obse
 	}
 }
 
-// Close drains the batcher: no new submissions are accepted, every pending
-// batch flushes immediately, and Close waits — up to ctx — for in-flight
-// batches to finish. Jobs still queued behind the semaphore execute during
-// the drain; only the deadline cuts them off (they then complete with the
-// batcher's cancelled context, surfacing partial metrics the way SIGINT
-// does for the CLI).
+// Close drains the batcher: no new submissions are accepted, the executors
+// empty the queue, and Close waits — up to ctx — for them to finish. At the
+// deadline it cancels the batcher's context: the running batch and any
+// still queued complete promptly with Interrupted partials, the way SIGINT
+// does for the CLI.
 func (b *Batcher) Close(ctx context.Context) error {
 	b.mu.Lock()
-	if !b.closed {
-		b.closed = true
-		for class := range b.classes {
-			b.flushLocked(class, "drain")
-		}
-	}
+	b.closed = true
 	b.mu.Unlock()
 
 	done := make(chan struct{})

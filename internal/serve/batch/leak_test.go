@@ -7,8 +7,7 @@ import (
 )
 
 // TestMain fails the package run if any test leaves a goroutine behind —
-// every runBatch executor and max-wait timer callback must be collected
-// by Close's drain.
+// every executor must be collected by Close's drain.
 func TestMain(m *testing.M) {
 	leaktest.Main(m)
 }

@@ -140,6 +140,9 @@ func TestScenarioHashInvalid(t *testing.T) {
 		"family full":    func(s *Scenario) { s.NumTags = 40 }, // Gold-31 holds 33
 		"no gold pair":   func(s *Scenario) { s.GoldDegree = 8 },
 		"unknown family": func(s *Scenario) { s.Family = 99 },
+		"a billion 2NC tags": func(s *Scenario) {
+			s.Family, s.NumTags = pn.Family2NC, 1_000_000_000
+		},
 		"interferer with no kind": func(s *Scenario) {
 			s.Interferers = []channel.Interferer{{}}
 		},

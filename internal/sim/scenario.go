@@ -204,10 +204,19 @@ func (s Scenario) SamplesPerChip() int {
 	return spc
 }
 
+// maxTags bounds NumTags for every code family: the largest Gold family
+// built here (degree 9) holds 513 codes. 2NC and Walsh sets have no size
+// limit of their own, and validation places one tag position per tag, so
+// without the bound a hostile submission would allocate at the door.
+const maxTags = 1<<9 + 1
+
 // validate normalizes the scenario and reports configuration errors.
 func (s *Scenario) validate() error {
 	if s.NumTags <= 0 {
 		return ErrBadTagCount
+	}
+	if s.NumTags > maxTags {
+		return fmt.Errorf("sim: %w: want %d, at most %d", pn.ErrFamilySize, s.NumTags, maxTags)
 	}
 	if s.Packets <= 0 {
 		return ErrBadPackets

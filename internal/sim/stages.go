@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"cbma/internal/channel"
 	"cbma/internal/dsp"
@@ -37,20 +38,31 @@ import (
 // while feedback and recording stay in round order.
 
 // roundBuffers is one worker's reusable scratch: one transmission record
-// per active-tag slot (its payload storage reused across rounds), the
-// mixing buffer, mixTag's templates, and the worker's RNG stream pool. The
-// mixing buffer alone is tens of thousands of samples and each pooled
-// generator carries a ~5 KB source; reusing them removes the dominant
-// per-round allocations.
+// per active-tag slot (its payload storage reused across rounds), mixTag's
+// templates, the worker's RNG stream pool, and — for the length of one
+// round — the mixing buffer. Each pooled generator carries a ~5 KB source;
+// reusing them removes the dominant per-round allocations.
 type roundBuffers struct {
 	txs []tagTx
-	mix []complex128
+	// mix is borrowed from mixPool by mixFor and handed back by
+	// releaseMix; nil between rounds.
+	mix *mixBuf
 	// tpl and runs hold mixTag's two per-bit sample templates and their
 	// nonzero runs.
 	tpl  []complex128
 	runs []int
 	rngs streamPool
 }
+
+// mixBuf holds one mixing buffer.
+type mixBuf struct{ s []complex128 }
+
+// mixPool shares mixing buffers across every worker of every engine. The
+// buffer is tens of thousands of samples; a campaign builds an engine and
+// a roundBuffers per round worker for each point, and scratch that lived
+// as long as its roundBuffers made these buffers most of the bytes a short
+// point allocated.
+var mixPool = sync.Pool{New: func() any { return new(mixBuf) }}
 
 // grow sizes the per-slot records for n active tags, retaining previously
 // allocated payload storage.
@@ -69,16 +81,29 @@ func (rb *roundBuffers) streams(seed int64, runSeq, phase, round uint64) *roundS
 	return &roundStreams{seed: seed, runSeq: runSeq, phase: phase, round: round, pool: &rb.rngs}
 }
 
-// mixFor returns a zeroed mixing buffer of length n, reusing capacity.
+// mixFor borrows a mixing buffer for the round and returns it zeroed at
+// length n. Zeroing makes a buffer left by any other round, of any length,
+// as good as a fresh one.
 func (rb *roundBuffers) mixFor(n int) []complex128 {
-	if cap(rb.mix) < n {
-		rb.mix = make([]complex128, n)
+	if rb.mix == nil {
+		rb.mix = mixPool.Get().(*mixBuf)
 	}
-	rb.mix = rb.mix[:n]
-	for i := range rb.mix {
-		rb.mix[i] = 0
+	m := rb.mix
+	if cap(m.s) < n {
+		m.s = make([]complex128, n)
 	}
-	return rb.mix
+	m.s = m.s[:n]
+	clear(m.s)
+	return m.s
+}
+
+// releaseMix hands the round's mixing buffer back to mixPool once nothing
+// reads it any more.
+func (rb *roundBuffers) releaseMix() {
+	if rb.mix != nil {
+		mixPool.Put(rb.mix)
+		rb.mix = nil
+	}
 }
 
 // tagTx is one tag's transmission in closed form — what mixTag needs to
@@ -216,11 +241,13 @@ func (e *Engine) executeRound(active []*tag.Tag, rs *roundStreams, rb *roundBuff
 	buf, recorded, err := e.mixChannel(tx, rs, rb, replay, &fc)
 	sp.End()
 	if err != nil {
+		rb.releaseMix()
 		return res, err
 	}
 	sp = e.eobs.o.Start(e.eobs.decode)
 	res, err = e.decodeAndAck(recv, buf, tx, rs, &fc)
 	sp.End()
+	rb.releaseMix()
 	res.recorded = recorded
 	res.faults = fc
 	return res, err
