@@ -103,6 +103,24 @@ func TestRoundResultGolden(t *testing.T) {
 	sparseSIC.Packets = 4
 	sparseSIC.SIC = true
 
+	// The worker-equivalence fixtures (pipeline_test.go) at a fixed packet
+	// count, so -short cannot move their digests: three tags on the plain
+	// engine, the full fault profile, a static channel with a WiFi
+	// interferer and OFDM excitation, CFO with phase tracking and SIC, and
+	// power control over a lossy ACK downlink.
+	worker := func(name string) Scenario {
+		scn := workerScenarios(t)[name]
+		scn.Packets = 24
+		return scn
+	}
+
+	// Deep fades bury the energy rise of three of the sixteen rounds, so
+	// the receiver anchors them at the reader's nominal timing (the resync
+	// fallback); none of the fixtures above reaches that path.
+	deepFade := small()
+	deepFade.NumTags = 2
+	deepFade.Fault = &fault.Profile{DeepFadeProb: 0.5}
+
 	cases := []struct {
 		name string
 		scn  Scenario
@@ -121,6 +139,12 @@ func TestRoundResultGolden(t *testing.T) {
 		{"dense-sic-gold31", denseSIC, "35f49f3344c6464a0e2ba8ce79dc34d977331030a715102853d2ebeb713401e9"},
 		{"sic-gold127", gold127SIC, "e23d4a9a85bde2f95723b9949015a26471036cbaf8d03a3be4a14caa340761f0"},
 		{"sic-2nc", sparseSIC, "121e45ed091f3de4648f296bb79b46e6708becaae6f49ffe186dac38c34c0ad0"},
+		{"worker-plain", worker("plain"), "9d59a04b578e71994a6552ad28c5ed366b122c21c64bfe199074e523eb625eb0"},
+		{"worker-faulted", worker("faulted"), "4111a80a7cb7a170b7305ff65a66ae02ef1b8335ce6d90ac789e1568281f2322"},
+		{"worker-static+intf", worker("static+intf"), "e7e636e9cd7ab66e966b3415125de372d803375fbc97a076b75e4dd412de8313"},
+		{"worker-sic+cfo", worker("sic+cfo"), "f0859faf765618f63403e454c16e3470143f53dec93f4a1237a55a48af8eafb8"},
+		{"worker-powercontrol", worker("powercontrol"), "e076cf31e9fdcd25943aa7feede45f8ce7ea4b21e37b11ced566edd01dae79ea"},
+		{"resync-deep-fade", deepFade, "113f1d2dd6bed65658ecd1a8cbb117c2772b1d1543a9f9c0cc9da238cd077ce8"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
