@@ -5,7 +5,6 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 const floatTol = 1e-9
@@ -26,105 +25,38 @@ func randomVector(r *rand.Rand, n int) []complex128 {
 	return out
 }
 
-func TestAddLengthMismatch(t *testing.T) {
-	if _, err := Add([]complex128{1}, []complex128{1, 2}); err != ErrLengthMismatch {
-		t.Fatalf("Add mismatched lengths: got err %v, want ErrLengthMismatch", err)
-	}
-}
-
-func TestAddElementwise(t *testing.T) {
-	a := []complex128{1 + 2i, 3}
-	b := []complex128{5, -1i}
-	got, err := Add(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []complex128{6 + 2i, 3 - 1i}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Add[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestAccumulateInto(t *testing.T) {
-	dst := []complex128{1, 2, 3}
-	src := []complex128{10, 20, 30}
-	if err := AccumulateInto(dst, src); err != nil {
-		t.Fatal(err)
-	}
-	want := []complex128{11, 22, 33}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("dst[%d] = %v, want %v", i, dst[i], want[i])
-		}
-	}
-	if err := AccumulateInto(dst, src[:2]); err != ErrLengthMismatch {
-		t.Errorf("short src: got err %v, want ErrLengthMismatch", err)
-	}
-}
-
-func TestScaleAndScaleInto(t *testing.T) {
-	x := []complex128{1, 1i}
-	got := Scale(x, 2i)
-	if got[0] != 2i || got[1] != -2 {
-		t.Errorf("Scale = %v", got)
-	}
-	if x[0] != 1 {
-		t.Error("Scale must not mutate its input")
-	}
-	ScaleInto(x, 3)
-	if x[0] != 3 || x[1] != 3i {
-		t.Errorf("ScaleInto = %v", x)
-	}
-}
-
-func TestConjInvolution(t *testing.T) {
-	f := func(re, im float64) bool {
-		x := []complex128{complex(re, im)}
-		return Conj(Conj(x))[0] == x[0]
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMagnitudeAndMagSquared(t *testing.T) {
 	x := []complex128{3 + 4i, 0, -1i}
-	mag := Magnitude(x)
+	mag := MagnitudeInto(nil, x)
 	if !almostEqual(mag[0], 5, floatTol) || mag[1] != 0 || !almostEqual(mag[2], 1, floatTol) {
-		t.Errorf("Magnitude = %v", mag)
+		t.Errorf("MagnitudeInto = %v", mag)
 	}
-	sq := MagSquared(x)
+	if mag[0] != cmplx.Abs(x[0]) {
+		t.Errorf("MagnitudeInto[0] = %v, cmplx.Abs = %v: must match bit for bit", mag[0], cmplx.Abs(x[0]))
+	}
+	sq := MagSquaredInto(nil, x)
 	if !almostEqual(sq[0], 25, floatTol) {
-		t.Errorf("MagSquared[0] = %v, want 25", sq[0])
+		t.Errorf("MagSquaredInto[0] = %v, want 25", sq[0])
+	}
+	// Scratch reuse: adequate capacity is resliced in place.
+	scratch := make([]float64, 8)
+	if got := MagnitudeInto(scratch, x); len(got) != len(x) || &got[0] != &scratch[0] {
+		t.Error("MagnitudeInto reallocated adequate scratch")
+	}
+	if got := MagSquaredInto(scratch, x); len(got) != len(x) || &got[0] != &scratch[0] {
+		t.Error("MagSquaredInto reallocated adequate scratch")
 	}
 }
 
 func TestMagSquaredMatchesMagnitude(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	x := randomVector(r, 64)
-	mag := Magnitude(x)
-	sq := MagSquared(x)
+	mag := MagnitudeInto(nil, x)
+	sq := MagSquaredInto(nil, x)
 	for i := range x {
 		if !almostEqual(sq[i], mag[i]*mag[i], 1e-9) {
 			t.Fatalf("sample %d: |x|²=%v but |x|·|x|=%v", i, sq[i], mag[i]*mag[i])
 		}
-	}
-}
-
-func TestDotConjSelfIsEnergy(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	x := randomVector(r, 100)
-	dot, err := DotConj(x, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(real(dot), Energy(x), 1e-9) {
-		t.Errorf("re(x·x*) = %v, Energy = %v", real(dot), Energy(x))
-	}
-	if !almostEqual(imag(dot), 0, 1e-9) {
-		t.Errorf("im(x·x*) = %v, want 0", imag(dot))
 	}
 }
 
@@ -147,46 +79,6 @@ func TestMeanPowerEmpty(t *testing.T) {
 	}
 }
 
-func TestNormalizeUnitRMS(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	x := randomVector(r, 257)
-	n := Normalize(x)
-	if !almostEqual(RMS(n), 1, 1e-9) {
-		t.Errorf("RMS after Normalize = %v, want 1", RMS(n))
-	}
-}
-
-func TestNormalizeZeroVector(t *testing.T) {
-	x := make([]complex128, 8)
-	n := Normalize(x)
-	if len(n) != 8 {
-		t.Fatalf("len = %d", len(n))
-	}
-	for _, v := range n {
-		if v != 0 {
-			t.Fatal("zero vector must normalize to itself")
-		}
-	}
-}
-
-func TestRotatePreservesMagnitude(t *testing.T) {
-	f := func(re, im, theta float64) bool {
-		if math.IsNaN(re) || math.IsNaN(im) || math.IsNaN(theta) ||
-			math.IsInf(re, 0) || math.IsInf(im, 0) || math.IsInf(theta, 0) {
-			return true
-		}
-		// Keep magnitudes sane to avoid overflow noise.
-		re, im = math.Mod(re, 1e6), math.Mod(im, 1e6)
-		theta = math.Mod(theta, 2*math.Pi)
-		x := []complex128{complex(re, im)}
-		y := Rotate(x, theta)
-		return almostEqual(cmplx.Abs(y[0]), cmplx.Abs(x[0]), 1e-6*(1+cmplx.Abs(x[0])))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestToneUnitAmplitudeAndFrequency(t *testing.T) {
 	const n = 64
 	const f = 0.25 // quarter cycle per sample
@@ -199,61 +91,6 @@ func TestToneUnitAmplitudeAndFrequency(t *testing.T) {
 	// At f=0.25 the tone advances 90° per sample: x[1] should be ~j.
 	if !complexAlmostEqual(x[1], 1i, 1e-9) {
 		t.Errorf("x[1] = %v, want i", x[1])
-	}
-}
-
-func TestMixToneRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	x := randomVector(r, 128)
-	shifted := MixTone(x, 0.1, 0.3)
-	back := MixTone(shifted, -0.1, -0.3)
-	for i := range x {
-		if !complexAlmostEqual(back[i], x[i], 1e-9) {
-			t.Fatalf("sample %d: %v != %v", i, back[i], x[i])
-		}
-	}
-}
-
-func TestArgMaxFloat(t *testing.T) {
-	tests := []struct {
-		name    string
-		in      []float64
-		wantI   int
-		wantV   float64
-		wantErr bool
-	}{
-		{name: "empty", in: nil, wantErr: true},
-		{name: "single", in: []float64{7}, wantI: 0, wantV: 7},
-		{name: "middle", in: []float64{1, 9, 3}, wantI: 1, wantV: 9},
-		{name: "ties keep first", in: []float64{5, 5, 5}, wantI: 0, wantV: 5},
-		{name: "negative", in: []float64{-3, -1, -2}, wantI: 1, wantV: -1},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			i, v, err := ArgMaxFloat(tc.in)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatal("want error")
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i != tc.wantI || v != tc.wantV {
-				t.Errorf("got (%d, %v), want (%d, %v)", i, v, tc.wantI, tc.wantV)
-			}
-		})
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	if got := MaxAbs(nil); got != 0 {
-		t.Errorf("MaxAbs(nil) = %v", got)
-	}
-	x := []complex128{1, 3 + 4i, 2i}
-	if got := MaxAbs(x); !almostEqual(got, 5, floatTol) {
-		t.Errorf("MaxAbs = %v, want 5", got)
 	}
 }
 

@@ -1,25 +1,35 @@
 package dsp
 
 import (
-	"math"
+	"errors"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 )
 
-func TestIsPowerOfTwo(t *testing.T) {
-	tests := []struct {
-		n    int
-		want bool
-	}{
-		{0, false}, {1, true}, {2, true}, {3, false}, {4, true},
-		{1023, false}, {1024, true}, {-4, false},
+var errNotPowerOfTwo = errors.New("dsp: FFT length must be a power of two")
+
+// FFT and IFFT run the filter bank's transform plan on a copy of x, so the
+// tests below check the plans every frequency-domain correlation uses.
+// IFFT includes the 1/N scaling.
+func FFT(x []complex128) ([]complex128, error) { return fft(x, false) }
+
+func IFFT(x []complex128) ([]complex128, error) { return fft(x, true) }
+
+func fft(x []complex128, inverse bool) ([]complex128, error) {
+	n := len(x)
+	if n == 0 || NextPowerOfTwo(n) != n {
+		return nil, errNotPowerOfTwo
 	}
-	for _, tc := range tests {
-		if got := IsPowerOfTwo(tc.n); got != tc.want {
-			t.Errorf("IsPowerOfTwo(%d) = %v, want %v", tc.n, got, tc.want)
-		}
+	out := make([]complex128, n)
+	copy(out, x)
+	p := planFor(n)
+	if inverse {
+		p.inverseInPlace(out)
+	} else {
+		p.forwardInPlace(out)
 	}
+	return out, nil
 }
 
 func TestNextPowerOfTwo(t *testing.T) {
@@ -34,8 +44,8 @@ func TestNextPowerOfTwo(t *testing.T) {
 }
 
 func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
-	if _, err := FFT(make([]complex128, 3)); err != ErrNotPowerOfTwo {
-		t.Fatalf("got err %v, want ErrNotPowerOfTwo", err)
+	if _, err := FFT(make([]complex128, 3)); err != errNotPowerOfTwo {
+		t.Fatalf("got err %v, want errNotPowerOfTwo", err)
 	}
 }
 
@@ -111,9 +121,9 @@ func TestFFTLinearity(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	a := randomVector(r, 64)
 	b := randomVector(r, 64)
-	sum, err := Add(a, b)
-	if err != nil {
-		t.Fatal(err)
+	sum := make([]complex128, len(a))
+	for i := range a {
+		sum[i] = a[i] + b[i]
 	}
 	fa, _ := FFT(a)
 	fb, _ := FFT(b)
@@ -122,57 +132,6 @@ func TestFFTLinearity(t *testing.T) {
 		if !complexAlmostEqual(fsum[i], fa[i]+fb[i], 1e-9) {
 			t.Fatalf("bin %d: FFT not linear", i)
 		}
-	}
-}
-
-func TestFFTCorrelateMatchesDirect(t *testing.T) {
-	r := rand.New(rand.NewSource(14))
-	x := randomVector(r, 200)
-	tmpl := randomVector(r, 31)
-	direct := CrossCorrelate(x, tmpl)
-	viaFFT, err := FFTCorrelate(x, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(direct) != len(viaFFT) {
-		t.Fatalf("length %d vs %d", len(direct), len(viaFFT))
-	}
-	for i := range direct {
-		if !complexAlmostEqual(direct[i], viaFFT[i], 1e-6) {
-			t.Fatalf("lag %d: direct %v vs fft %v", i, direct[i], viaFFT[i])
-		}
-	}
-}
-
-func TestFFTCorrelateBadInput(t *testing.T) {
-	if _, err := FFTCorrelate(make([]complex128, 4), make([]complex128, 8)); err == nil {
-		t.Fatal("template longer than input must fail")
-	}
-	if _, err := FFTCorrelate(make([]complex128, 4), nil); err == nil {
-		t.Fatal("empty template must fail")
-	}
-}
-
-func TestPowerSpectrumTone(t *testing.T) {
-	const n, k = 32, 3
-	x := Tone(n, float64(k)/n, 0.7)
-	ps, err := PowerSpectrum(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peak, _, err := ArgMaxFloat(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if peak != k {
-		t.Errorf("spectrum peak at bin %d, want %d", peak, k)
-	}
-	var total float64
-	for _, p := range ps {
-		total += p
-	}
-	if !almostEqual(total, ps[k], 1e-9) {
-		t.Errorf("tone energy should concentrate in one bin: total %v, peak %v", total, ps[k])
 	}
 }
 
@@ -185,52 +144,5 @@ func BenchmarkFFT1024(b *testing.B) {
 		if _, err := FFT(x); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkCrossCorrelateDirect(b *testing.B) {
-	r := rand.New(rand.NewSource(98))
-	x := randomVector(r, 4096)
-	tmpl := randomVector(r, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CrossCorrelate(x, tmpl)
-	}
-}
-
-func BenchmarkFFTCorrelate(b *testing.B) {
-	r := rand.New(rand.NewSource(97))
-	x := randomVector(r, 4096)
-	tmpl := randomVector(r, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FFTCorrelate(x, tmpl); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestGoertzelMatchesFFTBin(t *testing.T) {
-	r := rand.New(rand.NewSource(15))
-	const n = 64
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = r.NormFloat64() + math.Sin(2*math.Pi*0.125*float64(i))
-	}
-	cx := make([]complex128, n)
-	for i := range x {
-		cx[i] = complex(x[i], 0)
-	}
-	f, err := FFT(cx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := 8 // 0.125 * 64
-	want := real(f[k])*real(f[k]) + imag(f[k])*imag(f[k])
-	got := Goertzel(x, float64(k)/n)
-	if !almostEqual(got, want, 1e-6*want) {
-		t.Errorf("Goertzel = %v, FFT bin power = %v", got, want)
 	}
 }

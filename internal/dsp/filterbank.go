@@ -67,12 +67,6 @@ func (fb *FilterBank) Clone() *FilterBank {
 	return &FilterBank{m: fb.m, tmpls: fb.tmpls, spectra: fb.spectra}
 }
 
-// NumTemplates returns the number of templates in the bank.
-func (fb *FilterBank) NumTemplates() int { return len(fb.tmpls) }
-
-// TemplateLen returns the shared template length.
-func (fb *FilterBank) TemplateLen() int { return fb.m }
-
 // blocking picks the FFT size and block count for a query of count lags:
 // a single transform when the whole span fits in a block no larger than the
 // streaming size, otherwise overlap-add blocks of ~4× the template length.
@@ -327,125 +321,4 @@ func (fb *FilterBank) overlapAdd(span []complex128, count int, ids []int, outR [
 			}
 		}
 	}
-}
-
-// CrossCorrelateFFT computes the same result as CrossCorrelate(x, t) through
-// the frequency domain, streaming long inputs through bounded overlap-add
-// blocks so the transform size tracks the template rather than the buffer.
-// Like CrossCorrelate it returns nil when the template is empty or longer
-// than the input. Outputs match the direct loop to floating-point rounding
-// (well within 1e-9 relative), not bit-identically.
-func CrossCorrelateFFT(x, t []complex128) []complex128 {
-	n, m := len(x), len(t)
-	if m == 0 || m > n {
-		return nil
-	}
-	count := n - m + 1
-	size := NextPowerOfTwo(4 * m)
-	if s := NextPowerOfTwo(n); s < size {
-		size = s
-	}
-	step := size - m + 1
-	p := planFor(size)
-	spec := make([]complex128, size)
-	copy(spec, t)
-	p.forwardInPlace(spec)
-	for i := range spec {
-		spec[i] = complex(real(spec[i]), -imag(spec[i]))
-	}
-	out := make([]complex128, count)
-	in := make([]complex128, size)
-	for s := 0; s < n; s += step {
-		chunkLen := n - s
-		if chunkLen > step {
-			chunkLen = step
-		}
-		copy(in[:chunkLen], x[s:s+chunkLen])
-		for i := chunkLen; i < size; i++ {
-			in[i] = 0
-		}
-		p.forwardInPlace(in)
-		for i := range in {
-			in[i] *= spec[i]
-		}
-		p.inverseInPlace(in)
-		lo, hi := -(m - 1), chunkLen-1
-		if s+lo < 0 {
-			lo = -s
-		}
-		if g := count - 1 - s; hi > g {
-			hi = g
-		}
-		for k := lo; k <= hi; k++ {
-			idx := k
-			if idx < 0 {
-				idx += size
-			}
-			out[s+k] += in[idx]
-		}
-	}
-	return out
-}
-
-// CrossCorrelateRealFFT is CrossCorrelateFFT for real vectors, matching
-// CrossCorrelateReal(x, t) within floating-point rounding.
-func CrossCorrelateRealFFT(x, t []float64) []float64 {
-	n, m := len(x), len(t)
-	if m == 0 || m > n {
-		return nil
-	}
-	cx := make([]complex128, n)
-	for i, v := range x {
-		cx[i] = complex(v, 0)
-	}
-	ct := make([]complex128, m)
-	for i, v := range t {
-		ct[i] = complex(v, 0)
-	}
-	corr := CrossCorrelateFFT(cx, ct)
-	out := make([]float64, len(corr))
-	for i, v := range corr {
-		out[i] = real(v)
-	}
-	return out
-}
-
-// correlateCutover decides the standalone Auto variants: the FFT path pays
-// once the template is long enough and there are enough lags to amortize
-// the transforms. The thresholds mirror FilterBank.ShouldUseFFT with a
-// single template.
-func correlateCutover(n, m int) bool {
-	if m < 64 {
-		return false
-	}
-	count := n - m + 1
-	size := NextPowerOfTwo(4 * m)
-	if s := NextPowerOfTwo(n); s < size {
-		size = s
-	}
-	step := size - m + 1
-	blocks := (n + step - 1) / step
-	logSize := float64(bits.Len(uint(size - 1)))
-	direct := float64(count) * float64(m)
-	fftCost := float64(blocks) * float64(size) * (2*logSize*3 + 1)
-	return direct > fftCost
-}
-
-// CrossCorrelateAuto computes CrossCorrelate(x, t), selecting the
-// frequency-domain fast path automatically when the template and lag count
-// are large enough for it to win. The direct path is bit-identical with
-// CrossCorrelate; the FFT path matches it within floating-point rounding.
-func CrossCorrelateAuto(x, t []complex128) []complex128 {
-	if correlateCutover(len(x), len(t)) {
-		return CrossCorrelateFFT(x, t)
-	}
-	return CrossCorrelate(x, t)
-}
-
-// CrossCorrelateRealAuto is CrossCorrelateAuto for real vectors.
-func CrossCorrelateRealAuto(x, t []float64) []float64 {
-	if correlateCutover(len(x), len(t)) {
-		return CrossCorrelateRealFFT(x, t)
-	}
-	return CrossCorrelateReal(x, t)
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 // equivTol is the acceptance tolerance between the direct and FFT
@@ -42,43 +43,137 @@ func maxMagC(x []complex128) float64 {
 	return m
 }
 
+func TestCrossCorrelateKnown(t *testing.T) {
+	fb, err := NewFilterBank([][]float64{{1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []complex128{0, 0, 1, 1i, 0}
+	rows := [][]complex128{make([]complex128, 4)}
+	if err := fb.CorrelateAll(x, 0, 4, nil, rows); err != nil {
+		t.Fatal(err)
+	}
+	want := []complex128{0, 1, 1 + 1i, 1i}
+	for k := range want {
+		if rows[0][k] != want[k] {
+			t.Errorf("lag %d: %v, want %v", k, rows[0][k], want[k])
+		}
+	}
+}
+
+func TestCrossCorrelateTemplateTooLong(t *testing.T) {
+	fb, err := NewFilterBank([][]float64{{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]complex128{make([]complex128, 1)}
+	if err := fb.CorrelateAll(make([]complex128, 2), 0, 1, nil, rows); err != ErrLengthMismatch {
+		t.Fatalf("template longer than input: err %v, want ErrLengthMismatch", err)
+	}
+	if _, err := NewFilterBank([][]float64{{}}); err != ErrEmptyInput {
+		t.Fatalf("empty template: err %v, want ErrEmptyInput", err)
+	}
+}
+
+// TestCrossCorrelateRealMatchesComplex requires the real-input query to
+// equal the complex query on the same (real) samples.
+func TestCrossCorrelateRealMatchesComplex(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	xr := randReal(r, 100)
+	fb, err := NewFilterBank([][]float64{randReal(r, 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xc := make([]complex128, len(xr))
+	for i, v := range xr {
+		xc[i] = complex(v, 0)
+	}
+	count := len(xr) - 16 + 1
+	gr := [][]float64{make([]float64, count)}
+	gc := [][]complex128{make([]complex128, count)}
+	if err := fb.CorrelateRealAll(xr, 0, count, nil, gr); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.CorrelateAll(xc, 0, count, nil, gc); err != nil {
+		t.Fatal(err)
+	}
+	for k := range gr[0] {
+		if gr[0][k] != real(gc[0][k]) || imag(gc[0][k]) != 0 {
+			t.Fatalf("lag %d: real %v vs complex %v", k, gr[0][k], gc[0][k])
+		}
+	}
+}
+
+// TestCrossCorrelateShiftProperty embeds the template at a random shift in
+// an otherwise silent buffer: the correlation peaks exactly at the shift.
+func TestCrossCorrelateShiftProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		m := 8 + r.Intn(24)
+		shift := r.Intn(50)
+		tmpl := randReal(r, m)
+		fb, err := NewFilterBank([][]float64{tmpl})
+		if err != nil {
+			return false
+		}
+		x := make([]float64, shift+m+20)
+		copy(x[shift:], tmpl)
+		count := len(x) - m + 1
+		rows := [][]float64{make([]float64, count)}
+		if err := fb.CorrelateRealAll(x, 0, count, nil, rows); err != nil {
+			return false
+		}
+		best := 0
+		for k, v := range rows[0] {
+			if v > rows[0][best] {
+				best = k
+			}
+		}
+		return best == shift
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestCrossCorrelateFFTEquivalenceProperty drives random lengths and phases
-// through the complex direct and FFT paths and requires agreement within
-// 1e-9 of the output scale, including template lengths straddling the block
-// and cutover boundaries.
+// through the bank's overlap-add path — forced, whatever the cutover would
+// pick — and requires agreement with the direct loop within 1e-9 of the
+// output scale, including template lengths straddling the block boundaries.
 func TestCrossCorrelateFFTEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
 		m := 1 + rng.Intn(300)
 		n := m + rng.Intn(2000)
 		x := randComplex(rng, n)
-		tmpl := randComplex(rng, m)
-		want := CrossCorrelate(x, tmpl)
-		got := CrossCorrelateFFT(x, tmpl)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: len %d want %d (n=%d m=%d)", trial, len(got), len(want), n, m)
+		tmpl := randReal(rng, m)
+		fb, err := NewFilterBank([][]float64{tmpl})
+		if err != nil {
+			t.Fatal(err)
 		}
+		count := n - m + 1
+		want := make([]complex128, count)
+		for k := range want {
+			for i, v := range tmpl {
+				want[k] += x[k+i] * complex(v, 0)
+			}
+		}
+		got := [][]complex128{make([]complex128, count)}
+		fb.overlapAdd(x, count, []int{0}, nil, got)
 		scale := maxMagC(want)
 		if scale == 0 {
 			scale = 1
 		}
 		for k := range want {
-			if d := cmplx.Abs(got[k] - want[k]); d > equivTol*scale {
+			if d := cmplx.Abs(got[0][k] - want[k]); d > equivTol*scale {
 				t.Fatalf("trial %d (n=%d m=%d): lag %d differs by %g (scale %g)", trial, n, m, k, d, scale)
-			}
-		}
-		// The Auto variant must agree with the direct loop regardless of
-		// which path it selects.
-		auto := CrossCorrelateAuto(x, tmpl)
-		for k := range want {
-			if d := cmplx.Abs(auto[k] - want[k]); d > equivTol*scale {
-				t.Fatalf("trial %d: Auto lag %d differs by %g", trial, k, d)
 			}
 		}
 	}
 }
 
-// TestCrossCorrelateRealFFTEquivalenceProperty is the real-vector analogue.
+// TestCrossCorrelateRealFFTEquivalenceProperty is the real-vector analogue:
+// real samples embedded on the complex axis, real rows out.
 func TestCrossCorrelateRealFFTEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 60; trial++ {
@@ -86,47 +181,33 @@ func TestCrossCorrelateRealFFTEquivalenceProperty(t *testing.T) {
 		n := m + rng.Intn(2000)
 		x := randReal(rng, n)
 		tmpl := randReal(rng, m)
-		want := CrossCorrelateReal(x, tmpl)
-		got := CrossCorrelateRealFFT(x, tmpl)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: len %d want %d", trial, len(got), len(want))
+		fb, err := NewFilterBank([][]float64{tmpl})
+		if err != nil {
+			t.Fatal(err)
 		}
+		count := n - m + 1
+		want := make([]float64, count)
 		var scale float64
-		for _, v := range want {
-			if a := math.Abs(v); a > scale {
-				scale = a
+		for k := range want {
+			for i, v := range tmpl {
+				want[k] += x[k+i] * v
 			}
+			scale = math.Max(scale, math.Abs(want[k]))
 		}
 		if scale == 0 {
 			scale = 1
 		}
+		cx := make([]complex128, n)
+		for i, v := range x {
+			cx[i] = complex(v, 0)
+		}
+		got := [][]float64{make([]float64, count)}
+		fb.overlapAdd(cx, count, []int{0}, got, nil)
 		for k := range want {
-			if d := math.Abs(got[k] - want[k]); d > equivTol*scale {
+			if d := math.Abs(got[0][k] - want[k]); d > equivTol*scale {
 				t.Fatalf("trial %d (n=%d m=%d): lag %d differs by %g", trial, n, m, k, d)
 			}
 		}
-		auto := CrossCorrelateRealAuto(x, tmpl)
-		for k := range want {
-			if d := math.Abs(auto[k] - want[k]); d > equivTol*scale {
-				t.Fatalf("trial %d: Auto lag %d differs by %g", trial, k, d)
-			}
-		}
-	}
-}
-
-// TestCrossCorrelateFFTDegenerate mirrors CrossCorrelate's nil returns.
-func TestCrossCorrelateFFTDegenerate(t *testing.T) {
-	if CrossCorrelateFFT(make([]complex128, 3), nil) != nil {
-		t.Error("empty template must return nil")
-	}
-	if CrossCorrelateFFT(make([]complex128, 3), make([]complex128, 5)) != nil {
-		t.Error("template longer than input must return nil")
-	}
-	if CrossCorrelateRealFFT(make([]float64, 3), nil) != nil {
-		t.Error("empty real template must return nil")
-	}
-	if CrossCorrelateRealFFT(make([]float64, 3), make([]float64, 5)) != nil {
-		t.Error("real template longer than input must return nil")
 	}
 }
 
@@ -221,9 +302,6 @@ func TestFilterBankValidation(t *testing.T) {
 	if err := fb.CorrelateRealAll(make([]float64, 10), 0, 4, nil, nil); err == nil {
 		t.Error("missing rows must fail")
 	}
-	if fb.NumTemplates() != 1 || fb.TemplateLen() != 4 {
-		t.Errorf("bank shape: %d templates × %d", fb.NumTemplates(), fb.TemplateLen())
-	}
 }
 
 // TestShouldUseFFTMonotone sanity-checks the cutover: tiny queries stay on
@@ -268,7 +346,7 @@ func TestFilterBankCloneSharesSpectra(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 2048
-	n := count + fb.TemplateLen() - 1
+	n := count + fb.m - 1
 	env := randReal(rng, n)
 	if !fb.ShouldUseFFT(count, len(tmpls), false) {
 		t.Fatal("test query must take the FFT path")
@@ -315,6 +393,36 @@ func TestFilterBankCloneSharesSpectra(t *testing.T) {
 					t.Fatalf("clone %d row %d lag %d: %v != %v", w, j, k, got[w][j][k], want[j][k])
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkCorrelateBankSweep127 measures the receiver-shaped query: ten
+// 127-chip preamble templates (8-bit preamble, 4 samples per chip) swept
+// over a ±64-chip detection window, sharing the input transform.
+func BenchmarkCorrelateBankSweep127(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	const nt = 10
+	m := 8 * 127 * 4
+	tmpls := make([][]float64, nt)
+	for i := range tmpls {
+		tmpls[i] = randReal(rng, m)
+	}
+	fb, err := NewFilterBank(tmpls)
+	if err != nil {
+		b.Fatal(err)
+	}
+	count := 2*64*4 + 1
+	x := randComplex(rng, count+m+64)
+	rows := make([][]complex128, nt)
+	for i := range rows {
+		rows[i] = make([]complex128, count)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fb.CorrelateAll(x, 0, count, nil, rows); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

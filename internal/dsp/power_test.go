@@ -55,15 +55,6 @@ func TestDBmRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAmplitudeForPower(t *testing.T) {
-	if got := AmplitudeForPower(4); !almostEqual(got, 2, floatTol) {
-		t.Errorf("AmplitudeForPower(4) = %v, want 2", got)
-	}
-	if got := AmplitudeForPower(-1); got != 0 {
-		t.Errorf("AmplitudeForPower(-1) = %v, want 0", got)
-	}
-}
-
 func TestSNRdB(t *testing.T) {
 	// total = signal + noise; with signal = 9·noise, SNR ≈ 9.54 dB.
 	got := SNRdB(10, 1)
@@ -111,29 +102,5 @@ func TestSNRdBQuadrants(t *testing.T) {
 		if !math.IsInf(tc.want, 0) && !almostEqual(got, tc.want, 1e-9) {
 			t.Errorf("%s: SNRdB(%v, %v) = %v, want %v", tc.name, tc.total, tc.noise, got, tc.want)
 		}
-	}
-}
-
-func TestNoisePowerFromDensity(t *testing.T) {
-	if got := NoisePowerFromDensity(2e-21, 1e6); !almostEqual(got, 2e-15, 1e-27) {
-		t.Errorf("got %v", got)
-	}
-	if got := NoisePowerFromDensity(-1, 10); got != 0 {
-		t.Errorf("negative density: %v, want 0", got)
-	}
-}
-
-func TestThermalNoiseDBm(t *testing.T) {
-	// 1 Hz, 0 dB NF → -174 dBm.
-	if got := ThermalNoiseDBm(1, 0); !almostEqual(got, -174, 1e-9) {
-		t.Errorf("1 Hz floor = %v, want -174", got)
-	}
-	// 20 MHz WiFi channel, 6 dB NF → ≈ -95 dBm.
-	got := ThermalNoiseDBm(20e6, 6)
-	if !almostEqual(got, -94.99, 0.02) {
-		t.Errorf("20 MHz floor = %v, want ≈ -95", got)
-	}
-	if got := ThermalNoiseDBm(0, 0); !math.IsInf(got, -1) {
-		t.Errorf("zero bandwidth: %v, want -Inf", got)
 	}
 }

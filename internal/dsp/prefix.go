@@ -2,7 +2,7 @@ package dsp
 
 // PrefixSumInto writes the running sums of x into dst: dst[0] = 0 and
 // dst[i+1] = dst[i] + x[i], so any window sum x[lo:hi) is the O(1)
-// difference dst[hi] − dst[lo] (see WindowSum). dst is grown only when its
+// difference dst[hi] − dst[lo]. dst is grown only when its
 // capacity is short and the filled slice is returned, following the
 // hot-path Into convention — the receiver builds one prefix array per
 // buffer and answers every moving-window query of the sync stage from it.
@@ -25,12 +25,4 @@ func PrefixSumInto(dst, x []float64) []float64 {
 		dst[i+1] = acc
 	}
 	return dst
-}
-
-// WindowSum returns the sum of x[lo:hi) given p = PrefixSumInto(_, x).
-// Bounds are the caller's responsibility: 0 ≤ lo ≤ hi ≤ len(x).
-//
-//cbma:hotpath
-func WindowSum(p []float64, lo, hi int) float64 {
-	return p[hi] - p[lo]
 }

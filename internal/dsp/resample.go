@@ -5,88 +5,11 @@ import "errors"
 // ErrBadFactor is returned for non-positive resampling factors.
 var ErrBadFactor = errors.New("dsp: resampling factor must be >= 1")
 
-// ErrBadOffset is returned for negative sampling offsets.
-var ErrBadOffset = errors.New("dsp: sampling offset must be >= 0")
-
-// UpsampleHold repeats every input sample factor times (zero-order hold).
-// This models the tag's upsampling block: the FPGA holds each data bit for
-// an integer number of subcarrier periods (§VI, Eq. 3).
-func UpsampleHold(x []complex128, factor int) ([]complex128, error) {
-	if factor < 1 {
-		return nil, ErrBadFactor
-	}
-	out := make([]complex128, len(x)*factor)
-	for i := range x {
-		base := i * factor
-		for k := 0; k < factor; k++ {
-			out[base+k] = x[i]
-		}
-	}
-	return out, nil
-}
-
-// UpsampleHoldBits is UpsampleHold for bit vectors (0/1), used on the tag's
-// chip stream before the AND with the square wave.
-func UpsampleHoldBits(bits []byte, factor int) ([]byte, error) {
-	if factor < 1 {
-		return nil, ErrBadFactor
-	}
-	out := make([]byte, len(bits)*factor)
-	for i, b := range bits {
-		base := i * factor
-		for k := 0; k < factor; k++ {
-			out[base+k] = b
-		}
-	}
-	return out, nil
-}
-
-// Downsample keeps every factor-th sample starting at offset. The CBMA
-// receiver downsamples after computing the power envelope because its
-// sampling rate exceeds the chip rate (§V-B).
-func Downsample(x []complex128, factor, offset int) ([]complex128, error) {
-	if factor < 1 {
-		return nil, ErrBadFactor
-	}
-	if offset < 0 {
-		return nil, ErrBadOffset
-	}
-	if offset >= len(x) {
-		return nil, nil
-	}
-	n := (len(x) - offset + factor - 1) / factor
-	out := make([]complex128, 0, n)
-	for i := offset; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	return out, nil
-}
-
-// DownsampleMean averages each consecutive block of factor samples —
-// an integrate-and-dump matched to rectangular chips, which is what a
-// correlation receiver effectively does per chip.
-func DownsampleMean(x []float64, factor int) ([]float64, error) {
-	if factor < 1 {
-		return nil, ErrBadFactor
-	}
-	n := len(x) / factor
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var acc float64
-		base := i * factor
-		for k := 0; k < factor; k++ {
-			acc += x[base+k]
-		}
-		out[i] = acc / float64(factor)
-	}
-	return out, nil
-}
-
 // DownsampleSumInto writes the consecutive block sums of x — factor samples
 // per block, the trailing partial block dropped — into dst, growing it only
-// when its capacity is short. It is the allocation-free, unnormalized form
-// of DownsampleMean: an integrate-and-dump to chip rate, which is what the
-// receiver's coarse alignment pass runs its decimated correlations on.
+// when its capacity is short: an integrate-and-dump to chip rate, which is
+// what the receiver's coarse alignment pass runs its decimated correlations
+// on.
 //
 //cbma:hotpath
 func DownsampleSumInto(dst, x []float64, factor int) ([]float64, error) {
@@ -162,18 +85,4 @@ func FractionalDelayInPlace(x []complex128, d float64) {
 		}
 		x[i] = LerpDelay(x[i], a, d)
 	}
-}
-
-// ShiftInt delays (d > 0) or advances (d < 0) x by an integer number of
-// samples, zero-filling the vacated positions. The output has the same
-// length as the input.
-func ShiftInt(x []complex128, d int) []complex128 {
-	out := make([]complex128, len(x))
-	for i := range out {
-		j := i - d
-		if j >= 0 && j < len(x) {
-			out[i] = x[j]
-		}
-	}
-	return out
 }

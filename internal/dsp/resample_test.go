@@ -4,118 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestUpsampleHold(t *testing.T) {
-	x := []complex128{1, 2i}
-	got, err := UpsampleHold(x, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []complex128{1, 1, 1, 2i, 2i, 2i}
-	if len(got) != len(want) {
-		t.Fatalf("len %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sample %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestUpsampleHoldBadFactor(t *testing.T) {
-	if _, err := UpsampleHold([]complex128{1}, 0); err != ErrBadFactor {
-		t.Fatalf("got %v, want ErrBadFactor", err)
-	}
-	if _, err := UpsampleHoldBits([]byte{1}, -1); err != ErrBadFactor {
-		t.Fatalf("got %v, want ErrBadFactor", err)
-	}
-}
-
-func TestUpsampleHoldBits(t *testing.T) {
-	got, err := UpsampleHoldBits([]byte{1, 0}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{1, 1, 0, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("bit %d = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestDownsampleInvertsUpsample(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(50)
-		factor := 1 + r.Intn(8)
-		x := randomVector(r, n)
-		up, err := UpsampleHold(x, factor)
-		if err != nil {
-			return false
-		}
-		down, err := Downsample(up, factor, 0)
-		if err != nil {
-			return false
-		}
-		if len(down) != len(x) {
-			return false
-		}
-		for i := range x {
-			if down[i] != x[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDownsampleOffset(t *testing.T) {
-	x := []complex128{0, 1, 2, 3, 4, 5}
-	got, err := Downsample(x, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []complex128{1, 3, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sample %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestDownsampleOffsetPastEnd(t *testing.T) {
-	got, err := Downsample([]complex128{1, 2}, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != nil {
-		t.Errorf("got %v, want nil", got)
-	}
-}
-
-func TestDownsampleNegativeOffsetRejected(t *testing.T) {
-	// A negative offset used to be silently clamped to 0, hiding caller
-	// bugs; it is now a typed error like a bad factor.
-	if _, err := Downsample([]complex128{1, 2, 3}, 2, -4); !errors.Is(err, ErrBadOffset) {
-		t.Fatalf("Downsample(offset=-4) err = %v, want ErrBadOffset", err)
-	}
-	if _, err := Downsample([]complex128{1, 2, 3}, 0, 1); !errors.Is(err, ErrBadFactor) {
-		t.Fatalf("Downsample(factor=0) err = %v, want ErrBadFactor", err)
-	}
-	got, err := Downsample([]complex128{1, 2, 3}, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("got %v, want [1 3]", got)
-	}
-}
 
 func TestDownsampleSumInto(t *testing.T) {
 	x := []float64{1, 3, 5, 7, 100}
@@ -141,31 +30,17 @@ func TestDownsampleSumInto(t *testing.T) {
 	}
 }
 
-func TestDownsampleMean(t *testing.T) {
-	x := []float64{1, 3, 5, 7, 100}
-	got, err := DownsampleMean(x, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 6} // trailing partial block dropped
-	if len(got) != len(want) {
-		t.Fatalf("len %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !almostEqual(got[i], want[i], floatTol) {
-			t.Errorf("block %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestFractionalDelayIntegerMatchesShift(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	x := randomVector(r, 30)
 	fd := FractionalDelay(x, 4)
-	si := ShiftInt(x, 4)
 	for i := range x {
-		if !complexAlmostEqual(fd[i], si[i], 1e-12) {
-			t.Fatalf("sample %d: %v vs %v", i, fd[i], si[i])
+		var want complex128 // zero-filled head
+		if i >= 4 {
+			want = x[i-4]
+		}
+		if !complexAlmostEqual(fd[i], want, 1e-12) {
+			t.Fatalf("sample %d: %v vs %v", i, fd[i], want)
 		}
 	}
 }
@@ -195,36 +70,5 @@ func TestFractionalDelayHalfSample(t *testing.T) {
 		if !complexAlmostEqual(got[i], want[i], 1e-12) {
 			t.Errorf("sample %d = %v, want %v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestShiftIntAdvance(t *testing.T) {
-	x := []complex128{1, 2, 3, 4}
-	got := ShiftInt(x, -2)
-	want := []complex128{3, 4, 0, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sample %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestShiftIntRoundTripEnergyProperty(t *testing.T) {
-	// Delaying then advancing loses only the samples pushed off the end.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 10 + r.Intn(40)
-		d := r.Intn(5)
-		x := randomVector(r, n)
-		back := ShiftInt(ShiftInt(x, d), -d)
-		for i := 0; i < n-d; i++ {
-			if back[i] != x[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }

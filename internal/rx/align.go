@@ -6,13 +6,12 @@ import (
 	"cbma/internal/dsp"
 )
 
-// This file is the receiver's fast timing-acquisition path: a prefix-sum
-// edge refiner and a coarse-to-fine replacement for globalAlign's
-// exhaustive lag×code scan. Config.ReferenceSync selects the original
-// implementations in detect.go; the two paths make identical decisions on
-// every covered scenario (TestSyncEquivalence*, TestRunSyncEquivalence),
-// which is what lets campaigns keep bit-identical Metrics while the sync
-// phase drops severalfold in cost.
+// This file is the receiver's fine timing acquisition: a prefix-sum edge
+// refiner and a coarse-to-fine alignment over the lag×code score. The
+// exhaustive strided scan it prunes, with the streaming energy detector and
+// the per-position edge rescan, lives in the rx tests as the oracle
+// (referenceReceive); the two make identical decisions on every covered
+// scenario (TestSyncEquivalenceReceive).
 
 // magnitudeWindowInto fills dst[lo:hi] with |x| — the same math.Hypot
 // arithmetic as dsp.MagnitudeInto, so filled samples are bit-identical with
@@ -36,13 +35,18 @@ func magnitudeWindowInto(dst []float64, x []complex128, lo, hi int) []float64 {
 	return dst
 }
 
-// refineEdgePrefix is refineEdge with the per-position 16-sample rescan
-// replaced by an O(1) prefix-sum window (r.powerPrefix, built once per
-// buffer by receive). Scan bounds, thresholds and the returned edge match
-// the reference; only the window sum's floating-point association differs.
+// refineEdgePrefix locates the frame's energy-rise edge to within a chip or
+// two: the first sample at or after the (back-dated) coarse start whose
+// 16-sample window of power clears 3× the noise estimate, pinned to the
+// first sample inside it that clears 6×. It falls back to the coarse start
+// when nothing clears the bar (very low SNR). Window sums come from the
+// O(1) prefix-sum array r.powerPrefix, built once per buffer by receive.
 //
 //cbma:hotpath
 func (r *Receiver) refineEdgePrefix(power []float64, coarse int, noiseW float64) int {
+	// A 16-sample window at 3× the noise floor keeps the false-fire
+	// probability per position below 1e-6 (Chernoff), so the edge cannot
+	// anchor on a noise fluctuation ahead of the frame.
 	const win = 16
 	lo := coarse - r.cfg.SamplesPerChip
 	if lo < 0 {
@@ -61,6 +65,9 @@ func (r *Receiver) refineEdgePrefix(power []float64, coarse int, noiseW float64)
 		if p[j+win]-p[j] <= thresh {
 			continue
 		}
+		// The window triggers as soon as it overlaps the frame, up to
+		// win−1 samples early; locate the first individual sample that
+		// clears the floor decisively to pin the edge within ~a sample.
 		for k := 0; k < win; k++ {
 			if power[j+k] > 6*noiseW {
 				return j + k
@@ -71,11 +78,9 @@ func (r *Receiver) refineEdgePrefix(power []float64, coarse int, noiseW float64)
 	return coarse
 }
 
-// alignScoreAt is globalAlign's direct-path score at one lag — the summed
-// positive-polarity preamble correlation across every code, weighted by the
-// soft edge prior — with arithmetic identical to the reference scan
-// (dsp.DotReal per code, then sum * (1/(1+d²))), so a lag evaluated by both
-// paths scores bit-identically.
+// alignScoreAt is the alignment score at one lag: the summed
+// positive-polarity preamble correlation across every code (dsp.DotReal per
+// code), weighted by the soft edge prior 1/(1+d²).
 //
 //cbma:hotpath
 func (r *Receiver) alignScoreAt(env []float64, lag, edge int) float64 {
@@ -97,7 +102,7 @@ func (r *Receiver) alignScoreAt(env []float64, lag, edge int) float64 {
 // scanStride evaluates alignScoreAt on the strided lag grid anchored at
 // gridLo, over the grid points falling inside [from, to], carrying the
 // running best forward. Lags iterate ascending and ties keep the earlier
-// lag (strict >), matching the reference scan's argmax semantics.
+// lag (strict >).
 //
 //cbma:hotpath
 func (r *Receiver) scanStride(env []float64, gridLo, stride, from, to, edge, bestLag int, bestScore float64) (int, float64) {
@@ -115,8 +120,8 @@ func (r *Receiver) scanStride(env []float64, gridLo, stride, from, to, edge, bes
 	return bestLag, bestScore
 }
 
-// refineSample is the reference path's final sample-resolution pass around
-// the strided winner, shared by both alignment implementations.
+// refineSample is the final sample-resolution pass around the strided
+// winner.
 //
 //cbma:hotpath
 func (r *Receiver) refineSample(env []float64, lo, hi, stride, edge, bestLag int, bestScore float64) (int, bool) {
@@ -135,24 +140,59 @@ func (r *Receiver) refineSample(env []float64, lo, hi, stride, edge, bestLag int
 	return bestLag, bestScore > 0
 }
 
-// alignCoarseFine is globalAlign's coarse-to-fine fast path. The insight is
-// that the preamble templates are chip-constant — each sample template
-// repeats one discriminant value SamplesPerChip times — so at chip-aligned
-// lags the full correlation collapses to a chip-rate correlation of the
-// envelope's per-chip block sums (integrate-and-dump) against templates
-// SamplesPerChip times shorter. The coarse pass scores every chip-aligned
-// lag at 1/spc² of the reference cost, and only the basins around the two
-// best chip cells (plus the edge prior's cell, the absolute timing anchor)
-// are rescored exactly on the reference's strided grid, followed by the
-// same sample-resolution refinement. Because the fine stage's arithmetic is
-// bit-identical to the reference scan, the result matches the reference
-// whenever the reference winner's basin is among the candidates — which
-// holds on every covered scenario: the correlation peak decays within one
-// chip, so its cell (or a neighbour, also scanned) always dominates the
-// chip-rate landscape.
+// alignCoarseFine estimates the fine frame start common to the colliding
+// tags by maximizing the summed positive-polarity preamble correlation
+// across every code in the deployment over the energy detector's
+// uncertainty window.
+//
+// Alignment and user detection run on the magnitude envelope — exactly the
+// P(t) = √(I²+Q²) statistic the paper's receiver computes — rather than on
+// the complex baseband, for two reasons. First, the envelope has no phase
+// ambiguity, so the alternating 1010… preamble keeps its polarity: a
+// one-bit-shifted (inverted) alignment correlates negatively and is
+// rejected, where a coherent magnitude metric could not tell it apart from a
+// π-rotated channel. Second, a single shared alignment is essential for
+// shift-structured code families: 2NC codes are cyclic shifts of one
+// another, so tag j's entire waveform equals tag i's shifted by 2(j−i)
+// chips, and a per-user search wide enough to absorb the energy detector's
+// back-dating would lock code i onto tag j's frame. Because CBMA tags are
+// frame-synchronized by the shared excitation source to within a fraction
+// of a chip (the damage beyond that is what Fig. 11 measures), every active
+// user peaks at nearly the same lag — and the summed metric peaks where all
+// of them agree, while any shift-impostor alignment only ever matches a
+// subset.
+//
+// The correlation score is weighted by a soft prior centered on the
+// refined energy-rise edge (refineEdgePrefix), or on the reader's nominal
+// start when one is given. The edge is the one *absolute* timing anchor the
+// physics provides: for a shift-structured family with a single active tag
+// the correlation landscape is perfectly periodic (one code matches at
+// every slot shift), and without the edge prior the alignment — and
+// therefore the tag's identity — would be picked uniformly at random among
+// the shifts. The prior is gentle enough (half weight at four chips) that a
+// genuine multi-tag correlation peak still dominates when the edge estimate
+// is noisy.
+//
+// The exhaustive search scores every lag of the window at half-chip stride
+// and then refines to sample resolution around the winner. This function
+// prunes it coarse-to-fine. The preamble templates are chip-constant — each
+// sample template repeats one discriminant value SamplesPerChip times — so
+// at chip-aligned lags the full correlation collapses to a chip-rate
+// correlation of the envelope's per-chip block sums (integrate-and-dump)
+// against templates SamplesPerChip times shorter. The coarse pass scores
+// every chip-aligned lag at 1/spc² of the exhaustive cost, and only the
+// basins around the two best chip cells (plus the edge prior's cell) are
+// rescored exactly on the strided grid, followed by the same
+// sample-resolution refinement. The result matches the exhaustive scan
+// whenever its winner's basin is among the candidates, which holds on
+// every scenario the rx tests cover: the correlation peak decays within one
+// chip, so its cell (or a neighbour, also scanned) usually dominates the
+// chip-rate landscape. It is not guaranteed; DESIGN.md records a round
+// where the candidates miss. The exhaustive scan is the oracle in the rx
+// tests.
 //
 // Windows too narrow to prune — or spc == 1, where chip rate is sample
-// rate — simply run the reference scan, with identical results.
+// rate — run the exhaustive strided scan directly.
 //
 //cbma:hotpath
 func (r *Receiver) alignCoarseFine(env []float64, power []float64, coarse int, noiseW float64, nominalStart int) (int, bool) {
@@ -189,7 +229,7 @@ func (r *Receiver) alignCoarseFine(env []float64, power []float64, coarse int, n
 	span := env[lo : hi+tmplLen]
 	chips, err := dsp.DownsampleSumInto(r.envChips, span, spc)
 	if err != nil {
-		// Unreachable (spc ≥ 2), but degrade to the reference scan rather
+		// Unreachable (spc ≥ 2), but degrade to the exhaustive scan rather
 		// than mis-align.
 		bestLag, bestScore := r.scanStride(env, lo, stride, lo, hi, edge, lo, -1.0)
 		return r.refineSample(env, lo, hi, stride, edge, bestLag, bestScore)
@@ -230,15 +270,15 @@ func (r *Receiver) alignCoarseFine(env []float64, power []float64, coarse int, n
 	if best1 < 0 {
 		// No chip cell carries positive-polarity correlation — essentially
 		// a noise-only window, where a sample-grid peak could still hide
-		// between cells. Fall back to the reference scan.
+		// between cells. Fall back to the exhaustive scan.
 		bestLag, bestScore := r.scanStride(env, lo, stride, lo, hi, edge, lo, -1.0)
 		return r.refineSample(env, lo, hi, stride, edge, bestLag, bestScore)
 	}
 
 	// Candidate basins: the two best chip cells plus the edge prior's cell,
 	// each widened by one chip either side, rescored exactly on the
-	// reference grid in ascending lag order (for reference-identical tie
-	// breaks) without double-visiting overlap.
+	// strided grid in ascending lag order (so ties break as in the
+	// exhaustive scan) without double-visiting overlap.
 	ec := edge
 	if ec < lo {
 		ec = lo

@@ -127,166 +127,6 @@ func growComplexRows(rows [][]complex128, n, count int) [][]complex128 {
 	return rows
 }
 
-// globalAlign estimates the fine frame start common to the colliding tags by
-// maximizing the summed positive-polarity preamble correlation across every
-// code in the deployment over the energy detector's uncertainty window.
-//
-// Alignment and user detection run on the magnitude envelope — exactly the
-// P(t) = √(I²+Q²) statistic the paper's receiver computes — rather than on
-// the complex baseband, for two reasons. First, the envelope has no phase
-// ambiguity, so the alternating 1010… preamble keeps its polarity: a
-// one-bit-shifted (inverted) alignment correlates negatively and is
-// rejected, where a coherent magnitude metric could not tell it apart from a
-// π-rotated channel. Second, a single shared alignment is essential for
-// shift-structured code families: 2NC codes are cyclic shifts of one
-// another, so tag j's entire waveform equals tag i's shifted by 2(j−i)
-// chips, and a per-user search wide enough to absorb the energy detector's
-// back-dating would lock code i onto tag j's frame. Because CBMA tags are
-// frame-synchronized by the shared excitation source to within a fraction
-// of a chip (the damage beyond that is what Fig. 11 measures), every active
-// user peaks at nearly the same lag — and the summed metric peaks where all
-// of them agree, while any shift-impostor alignment only ever matches a
-// subset.
-//
-// The search runs at half-chip stride and then refines to sample resolution
-// around the winner. When the window × code-count product is large enough,
-// the per-code correlations come from the frequency-domain filter bank —
-// one shared FFT of the envelope window against every code's precomputed
-// preamble spectrum — instead of per-lag dot products; the scan pattern is
-// unchanged, so the two paths agree to floating-point rounding and the
-// direct path stays bit-identical with the original receiver.
-//
-// The correlation score is weighted by a soft prior centered on the
-// refined energy-rise edge (refineEdge). The edge is the one *absolute*
-// timing anchor the physics provides: for a shift-structured family with a
-// single active tag the correlation landscape is perfectly periodic (one
-// code matches at every slot shift), and without the edge prior the
-// alignment — and therefore the tag's identity — would be picked uniformly
-// at random among the shifts. The prior is gentle enough (half weight at
-// four chips) that a genuine multi-tag correlation peak still dominates
-// when the edge estimate is noisy.
-func (r *Receiver) globalAlign(env []float64, power []float64, coarse int, noiseW float64, nominalStart int) (int, bool) {
-	tmplLen := len(r.preambleTmpl[0])
-	slack := r.cfg.SamplesPerChip * 2
-	lo := coarse - slack
-	if lo < 0 {
-		lo = 0
-	}
-	hi := coarse + r.shortWindow() + slack
-	if hi+tmplLen > len(env) {
-		hi = len(env) - tmplLen
-	}
-	if hi < lo {
-		return 0, false
-	}
-	stride := r.cfg.SamplesPerChip / 2
-	if stride < 1 {
-		stride = 1
-	}
-	edge := nominalStart
-	if edge < 0 {
-		edge = r.refineEdge(power, coarse, noiseW)
-	}
-	prior := func(lag int) float64 {
-		d := float64(lag-edge) / float64(4*r.cfg.SamplesPerChip)
-		return 1 / (1 + d*d)
-	}
-	count := hi - lo + 1
-	// corrAt(id, lag) is the envelope-preamble correlation; the fast path
-	// precomputes every (code, lag) cell through the bank's shared FFT.
-	corrAt := func(id, lag int) float64 {
-		c, err := dsp.DotReal(env[lag:lag+tmplLen], r.preambleTmpl[id])
-		if err != nil {
-			return math.Inf(-1)
-		}
-		return c
-	}
-	if r.bank.ShouldUseFFT(count, len(r.preambleTmpl), false) {
-		r.alignRows = growFloatRows(r.alignRows, len(r.preambleTmpl), count)
-		if err := r.bank.CorrelateRealAll(env, lo, count, nil, r.alignRows); err == nil {
-			rows := r.alignRows
-			corrAt = func(id, lag int) float64 { return rows[id][lag-lo] }
-		} else {
-			r.noteFFTFallback("align", err)
-		}
-	}
-	score := func(lag int) float64 {
-		var sum float64
-		for id := range r.preambleTmpl {
-			c := corrAt(id, lag)
-			if math.IsInf(c, -1) {
-				return 0
-			}
-			if c > 0 { // only positive polarity is a valid preamble
-				sum += c * c
-			}
-		}
-		return sum * prior(lag)
-	}
-	bestLag, bestScore := lo, -1.0
-	for lag := lo; lag <= hi; lag += stride {
-		if s := score(lag); s > bestScore {
-			bestLag, bestScore = lag, s
-		}
-	}
-	// Refine to sample resolution around the strided winner.
-	rlo, rhi := bestLag-stride+1, bestLag+stride-1
-	if rlo < lo {
-		rlo = lo
-	}
-	if rhi > hi {
-		rhi = hi
-	}
-	for lag := rlo; lag <= rhi; lag++ {
-		if s := score(lag); s > bestScore {
-			bestLag, bestScore = lag, s
-		}
-	}
-	return bestLag, bestScore > 0
-}
-
-// refineEdge locates the frame's energy-rise edge to within a chip or two:
-// the first sample at or after the (back-dated) coarse start whose local
-// 8-sample mean power clears the noise estimate by 3 dB. It falls back to
-// the coarse start when nothing clears the bar (very low SNR).
-func (r *Receiver) refineEdge(power []float64, coarse int, noiseW float64) int {
-	// A 16-sample window at 3× the noise floor keeps the false-fire
-	// probability per position below 1e-6 (Chernoff), so the edge cannot
-	// anchor on a noise fluctuation ahead of the frame.
-	const win = 16
-	lo := coarse - r.cfg.SamplesPerChip
-	if lo < 0 {
-		lo = 0
-	}
-	hi := coarse + r.shortWindow() + 2*r.cfg.SamplesPerChip
-	if hi+win > len(power) {
-		hi = len(power) - win
-	}
-	if noiseW <= 0 || hi < lo {
-		return coarse
-	}
-	thresh := 3 * noiseW * win
-	for j := lo; j <= hi; j++ {
-		var acc float64
-		for k := 0; k < win; k++ {
-			acc += power[j+k]
-		}
-		if acc <= thresh {
-			continue
-		}
-		// The window triggers as soon as it overlaps the frame, up to
-		// win−1 samples early; locate the first individual sample that
-		// clears the floor decisively to pin the edge within ~a sample.
-		for k := 0; k < win; k++ {
-			if power[j+k] > 6*noiseW {
-				return j + k
-			}
-		}
-		return j + win/2
-	}
-	return coarse
-}
-
 // detectUser implements §III-B user detection for one code: it slides the
 // code's preamble discriminant template over the complex baseband within
 // ±SearchChips chips of the global alignment and reports the best normalized
@@ -304,7 +144,7 @@ func (r *Receiver) refineEdge(power []float64, coarse int, noiseW float64) int {
 // envelope-anchored global alignment never reaches a one-bit shift, so the
 // ambiguity is structurally excluded. The window also stays inside the
 // cyclic-ambiguity distance of shift-structured families like 2NC (see
-// globalAlign) while tolerating the sub-chip clock skew the
+// alignCoarseFine) while tolerating the sub-chip clock skew the
 // correlation-based detector is built for.
 //
 // Lag choice and detection value use different statistics because their
@@ -495,8 +335,8 @@ func bestDetection(dets []detSlot, ids []int) (int, detection, bool) {
 	return bestID, bestDet, bestID >= 0
 }
 
-// noteFFTFallback records a filter-bank error that silently dropped an
-// alignment or detection sweep to the direct per-lag loops. The results are
+// noteFFTFallback records a filter-bank error that silently dropped a
+// detection sweep to the direct per-lag loops. The results are
 // unaffected — the direct path computes the same correlations — but the
 // cost regresses to the O(lags×codes) product the bank exists to avoid, so
 // the fallback must be visible in the run manifest (counter) and event log

@@ -116,7 +116,7 @@ func TestEnergyDetectShorterThanWarmup(t *testing.T) {
 		for i := range power {
 			power[i] = 1 // loud everywhere, but too short to warm up
 		}
-		if _, found := EnergyDetect(power, 100, 3, 64); found {
+		if _, found := detectBoth(t, power, 100, 3, 64); found {
 			t.Errorf("len %d buffer shorter than the warmup window must not detect", n)
 		}
 	}

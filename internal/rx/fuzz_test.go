@@ -14,8 +14,8 @@ import (
 // the buffer so the fuzzer explores boundary geometry (windows longer than
 // the buffer included) without just allocating gigantic delay lines.
 //
-// The prefix-sum detector (the receiver's default path) is run on every
-// input and must agree exactly: the decoded powers are integers whose sums
+// The prefix-sum detector (the one Receive runs) is run on every input and
+// must agree exactly: the decoded powers are integers whose sums
 // stay far below 2^53, so its prefix-difference window means are identical
 // to the reference's streaming accumulator — not merely close.
 func FuzzFrameSync(f *testing.F) {

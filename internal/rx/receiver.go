@@ -48,7 +48,7 @@ type Config struct {
 	// alignment, in chips. Zero selects one chip each way — wide enough for
 	// the sub-chip clock skew of excitation-synchronized tags, narrow
 	// enough to stay inside the cyclic-ambiguity distance of
-	// shift-structured code families (see globalAlign). Tags delayed
+	// shift-structured code families (see alignCoarseFine). Tags delayed
 	// beyond this window lose frames, which is the behaviour Fig. 11
 	// measures.
 	SearchChips int
@@ -79,17 +79,6 @@ type Config struct {
 	// observational: no receiver decision reads it, so decode results are
 	// identical with or without it.
 	Obs *obs.Observer
-	// ReferenceSync selects the pre-optimization timing-acquisition path:
-	// streaming moving-average energy detection, per-position window
-	// rescans in refineEdge, the full-buffer envelope and the exhaustive
-	// strided alignment scan over the whole uncertainty window. The
-	// default fast path (prefix-sum detection, windowed envelope,
-	// coarse-to-fine alignment — see align.go) reproduces the reference
-	// decisions, and campaign Metrics are bit-identical across the two on
-	// every covered scenario (TestRunSyncEquivalence); this knob keeps the
-	// reference implementation live so that equivalence stays continuously
-	// testable instead of frozen at a one-time measurement.
-	ReferenceSync bool
 	// ResyncFallback enables graceful re-synchronization on ReceiveAt
 	// calls: when the energy detector or the fine alignment fails — deep
 	// fades, mid-frame outages and interference bursts can bury the energy
@@ -154,16 +143,15 @@ type Receiver struct {
 	// instead of sliding the full-rate template (see alignCoarseFine).
 	chipTmpl [][]float64
 	// bank holds the preamble templates with their frequency-domain images
-	// precomputed, for the matched-filter fast path taken by globalAlign
-	// and the detection sweep when the window is large enough (see
+	// precomputed, for the matched-filter fast path the detection sweep
+	// takes when the window is large enough (see
 	// dsp.FilterBank.ShouldUseFFT).
 	bank *dsp.FilterBank
 	// Per-call scratch, reused across Receive calls (the reason a Receiver
 	// is not safe for concurrent use): per-code correlation rows for the
-	// alignment and detection sweeps, the SIC per-code detection cache,
-	// remaining-code list and joint fit, and the chip-rate decimated
-	// envelope of the alignment span.
-	alignRows    [][]float64
+	// detection sweep, the SIC per-code detection cache, remaining-code
+	// list and joint fit, and the chip-rate decimated envelope of the
+	// alignment span.
 	envRows      [][]float64
 	cohRows      [][]complex128
 	sicDets      []detSlot
@@ -339,7 +327,7 @@ func (r *Receiver) ReceiveAt(samples []complex128, nominalStart int) (Result, er
 
 // sampleScratch is a receive's buffer-length scratch: the buffer's
 // instantaneous power, its power prefix sums (every moving-window statistic
-// of the fast sync path reads them in O(1)), its envelope, and the SIC
+// of the sync path reads them in O(1)), its envelope, and the SIC
 // residual and residual envelope. Every element is written before it is
 // read, so a buffer handed over by another receive — of another receiver,
 // possibly of another length — cannot change a result.
@@ -377,15 +365,8 @@ func (r *Receiver) receiveScratch(samples []complex128, nominalStart int) (Resul
 	sp := r.obs.Start(r.hSync)
 	r.power = dsp.MagSquaredInto(r.power, samples)
 	power := r.power
-	ref := r.cfg.ReferenceSync
-	var start int
-	var found bool
-	if ref {
-		start, found = EnergyDetect(power, r.cfg.SyncWindow, r.cfg.SyncThresholdDB, r.shortWindow())
-	} else {
-		r.powerPrefix = dsp.PrefixSumInto(r.powerPrefix, power)
-		start, found = energyDetectPrefix(r.powerPrefix, r.cfg.SyncWindow, r.cfg.SyncThresholdDB, r.shortWindow())
-	}
+	r.powerPrefix = dsp.PrefixSumInto(r.powerPrefix, power)
+	start, found := energyDetectPrefix(r.powerPrefix, r.cfg.SyncWindow, r.cfg.SyncThresholdDB, r.shortWindow())
 	resync := r.cfg.ResyncFallback && nominalStart >= 0 && nominalStart < len(samples)
 	if !found {
 		if !resync {
@@ -402,7 +383,7 @@ func (r *Receiver) receiveScratch(samples []complex128, nominalStart int) (Resul
 	res.CoarseStart = start
 	res.NoiseW = r.noiseEstimate(power, start)
 
-	if ref || r.cfg.SIC {
+	if r.cfg.SIC {
 		// The SIC loop re-derives the envelope over the whole buffer after
 		// each cancellation, so a partial fill buys nothing there.
 		r.env = dsp.MagnitudeInto(r.env, samples)
@@ -411,13 +392,7 @@ func (r *Receiver) receiveScratch(samples []complex128, nominalStart int) (Resul
 		r.env = magnitudeWindowInto(r.env, samples, elo, ehi)
 	}
 	env := r.env
-	var globalStart int
-	var ok bool
-	if ref {
-		globalStart, ok = r.globalAlign(env, power, start, res.NoiseW, nominalStart)
-	} else {
-		globalStart, ok = r.alignCoarseFine(env, power, start, res.NoiseW, nominalStart)
-	}
+	globalStart, ok := r.alignCoarseFine(env, power, start, res.NoiseW, nominalStart)
 	if !ok {
 		if !resync {
 			sp.End()
@@ -427,12 +402,20 @@ func (r *Receiver) receiveScratch(samples []complex128, nominalStart int) (Resul
 		res.Resynced = true
 	}
 	sp.End()
+	r.decode(samples, power, env, globalStart, &res)
+	return res, nil
+}
+
+// decode is the receive pipeline after timing acquisition: user detection
+// and decoding anchored at the fine alignment globalStart, then each
+// frame's SNR estimate.
+func (r *Receiver) decode(samples []complex128, power, env []float64, globalStart int, res *Result) {
 	if res.Resynced {
 		r.cResync.Inc()
 	}
 	res.GlobalStart = globalStart
 	if r.cfg.SIC {
-		r.receiveSIC(samples, &res, env, globalStart)
+		r.receiveSIC(samples, res, env, globalStart)
 	} else {
 		res.Frames = r.detectAndDecodeAll(env, samples, globalStart, res.NoiseW)
 	}
@@ -440,12 +423,11 @@ func (r *Receiver) receiveScratch(samples []complex128, nominalStart int) (Resul
 		f := &res.Frames[i]
 		f.SNRdB = r.estimateSNR(power, f.Lag, r.frameExtentSamples(len(f.Payload)), res.NoiseW)
 	}
-	return res, nil
 }
 
 // shortWindow is the energy detector's short-term window: one bit duration,
 // floored at 64 samples to keep the noise-only false-alarm rate negligible
-// (see EnergyDetect).
+// (see energyDetectPrefix).
 func (r *Receiver) shortWindow() int {
 	w := r.cfg.Codes.ChipLength() * r.cfg.SamplesPerChip
 	if w < 64 {
@@ -454,12 +436,12 @@ func (r *Receiver) shortWindow() int {
 	return w
 }
 
-// envWindow bounds the envelope region the fast sync path actually reads:
+// envWindow bounds the envelope region the sync path actually reads:
 // the alignment window around the coarse start widened by the user-detection
 // search slack and one template length, extended to cover the reader's
 // nominal window when the resync fallback may re-anchor there. Everything
 // outside is zeroed, not computed — the per-sample math.Hypot over a mostly
-// unread buffer was a top cost of the reference sync phase.
+// unread buffer was once a top cost of the sync phase.
 func (r *Receiver) envWindow(start, nominalStart, n int) (int, int) {
 	tmplLen := len(r.preambleTmpl[0])
 	slack := (2+r.cfg.SearchChips)*r.cfg.SamplesPerChip + r.shortWindow()

@@ -318,6 +318,20 @@ func TestReceiveSNREstimatePlausible(t *testing.T) {
 	}
 }
 
+// detectBoth runs the receiver's prefix-sum detector and the streaming
+// oracle on one power buffer, failing the test unless they agree, and
+// returns the prefix detector's decision.
+func detectBoth(t *testing.T, power []float64, longWindow int, thresholdDB float64, shortWindow int) (int, bool) {
+	t.Helper()
+	start, found := energyDetectPrefix(dsp.PrefixSumInto(nil, power), longWindow, thresholdDB, shortWindow)
+	rstart, rfound := EnergyDetect(power, longWindow, thresholdDB, shortWindow)
+	if start != rstart || found != rfound {
+		t.Fatalf("len %d: prefix detector (%d, %v) disagrees with the oracle (%d, %v)",
+			len(power), start, found, rstart, rfound)
+	}
+	return start, found
+}
+
 func TestEnergyDetectFiresNearStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const lead = 2000
@@ -329,7 +343,7 @@ func TestEnergyDetectFiresNearStart(t *testing.T) {
 		power[i] += testNoise * 20
 	}
 	const short = 64
-	start, found := EnergyDetect(power, 500, 3, short)
+	start, found := detectBoth(t, power, 500, 3, short)
 	if !found {
 		t.Fatal("not detected")
 	}
@@ -344,10 +358,10 @@ func TestEnergyDetectQuietBuffer(t *testing.T) {
 	for i := range power {
 		power[i] = testNoise
 	}
-	if _, found := EnergyDetect(power, 100, 3, 64); found {
+	if _, found := detectBoth(t, power, 100, 3, 64); found {
 		t.Error("constant power must not trigger")
 	}
-	if _, found := EnergyDetect(nil, 100, 3, 64); found {
+	if _, found := detectBoth(t, nil, 100, 3, 64); found {
 		t.Error("empty input must not trigger")
 	}
 }
@@ -360,7 +374,7 @@ func TestEnergyDetectParameterClamps(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		power[i] = 1e-6
 	}
-	if _, found := EnergyDetect(power, 0, 3, 0); !found {
+	if _, found := detectBoth(t, power, 0, 3, 0); !found {
 		t.Error("clamped parameters must still detect the step")
 	}
 }

@@ -238,13 +238,22 @@ func TestRefineEdgeFindsRise(t *testing.T) {
 	for i := rise; i < n; i++ {
 		power[i] += noise * 50
 	}
-	edge := r.refineEdge(power, rise-100, noise)
+	// The receiver's prefix-sum refiner and the oracle's per-position
+	// rescan must both land on the rise and agree exactly.
+	r.powerPrefix = dsp.PrefixSumInto(nil, power)
+	edge := r.refineEdgePrefix(power, rise-100, noise)
 	if edge < rise-2 || edge > rise+16 {
 		t.Errorf("edge %d, want ≈%d", edge, rise)
 	}
+	if ref := r.refineEdge(power, rise-100, noise); ref != edge {
+		t.Errorf("prefix edge %d, oracle edge %d", edge, ref)
+	}
 	// Zero noise estimate falls back to the coarse start.
-	if got := r.refineEdge(power, 123, 0); got != 123 {
+	if got := r.refineEdgePrefix(power, 123, 0); got != 123 {
 		t.Errorf("fallback edge %d, want 123", got)
+	}
+	if got := r.refineEdge(power, 123, 0); got != 123 {
+		t.Errorf("oracle fallback edge %d, want 123", got)
 	}
 }
 

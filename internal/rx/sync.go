@@ -4,65 +4,6 @@ import (
 	"cbma/internal/dsp"
 )
 
-// EnergyDetect implements the paper's frame synchronization (§III-B): the
-// received power sequence is smoothed by a moving-average filter and a
-// comparator flags a new frame when the short-term power — averaged over
-// shortWindow samples — exceeds the long-term filtered level by
-// thresholdDB. The long-term average is frozen once the comparator fires so
-// the frame's own energy cannot raise the reference.
-//
-// shortWindow trades false alarms against start accuracy: the mean of k
-// noise-power samples exceeds twice its expectation with probability
-// ≈exp(−0.31·k), so a window under ~50 samples false-fires on long noise
-// buffers. The receiver therefore uses one bit duration (floored at 64
-// samples) and compensates the resulting start uncertainty by widening the
-// per-user preamble search (detect.go).
-//
-// The returned start back-dates the fire index by the short window length;
-// the true frame start lies within [start, start+shortWindow].
-func EnergyDetect(power []float64, longWindow int, thresholdDB float64, shortWindow int) (start int, found bool) {
-	if len(power) == 0 {
-		return 0, false
-	}
-	if longWindow < 2 {
-		longWindow = 2
-	}
-	if shortWindow < 1 {
-		shortWindow = 1
-	}
-	factor := dsp.FromDB(thresholdDB)
-	long := dsp.NewMovingAverager(longWindow)
-	short := dsp.NewMovingAverager(shortWindow)
-	// The long-term reference is fed through a delay line one short-window
-	// long. Without it, the reference absorbs the frame's own energy while
-	// the short window is still filling, and for short spreading codes the
-	// short/long ratio tops out at exactly the comparator threshold —
-	// detection becomes a coin flip. Delayed, the reference stays
-	// noise-only until after the comparator has fired.
-	delay := make([]float64, shortWindow)
-	var longVal float64
-	// Warm both averages on the initial samples so the comparator has a
-	// reference; the simulator always provides a noise-only lead.
-	warmup := shortWindow
-	if warmup > len(power) {
-		warmup = len(power)
-	}
-	for i := 0; i < warmup; i++ {
-		longVal = long.Push(power[i])
-		short.Push(power[i])
-		delay[i%shortWindow] = power[i]
-	}
-	for i := warmup; i < len(power); i++ {
-		s := short.Push(power[i])
-		if longVal > 0 && s > factor*longVal {
-			return backdateStart(i, shortWindow), true
-		}
-		longVal = long.Push(delay[i%shortWindow])
-		delay[i%shortWindow] = power[i]
-	}
-	return 0, false
-}
-
 // backdateStart back-dates the comparator's fire index by the short window
 // length, clamping at the buffer head: a fire within the first window
 // back-dates to the buffer start rather than a negative index.
@@ -74,22 +15,43 @@ func backdateStart(fire, shortWindow int) int {
 	return start
 }
 
-// energyDetectPrefix reproduces EnergyDetect's comparator from the power
-// prefix-sum array (prefix = dsp.PrefixSumInto(_, power)) in O(1) work per
-// position instead of two moving-average pushes per sample — the receiver's
-// default sync path. Undetected buffers, where the comparator scans every
-// sample, drop from the round's dominant cost to a single pass.
+// energyDetectPrefix implements the paper's frame synchronization
+// (§III-B): the received power sequence is smoothed by a moving-average
+// filter and a comparator flags a new frame when the short-term power —
+// averaged over shortWindow samples — exceeds the long-term filtered level
+// by thresholdDB. The long-term average is frozen once the comparator fires
+// so the frame's own energy cannot raise the reference.
 //
-// The reference detector's state at check index i is fully determined by
-// prefix sums: the short-term mean is the last shortWindow samples, and the
-// long-term reference — whose delay line re-pushes the warmup samples, so
-// its push sequence is power[0:sw] ++ power[0:i−sw] — is the mean of the
-// last min(i, longWindow) entries of that sequence. The three cases below
-// are that tail straddling (or not) the warmup/replay seam. Window means
-// differ from the streaming accumulator only in floating-point association
-// order; decisions are identical on every covered scenario (see
-// TestSyncEquivalence*) and exactly identical on integer-valued power
-// (FuzzFrameSync asserts agreement).
+// shortWindow trades false alarms against start accuracy: the mean of k
+// noise-power samples exceeds twice its expectation with probability
+// ≈exp(−0.31·k), so a window under ~50 samples false-fires on long noise
+// buffers. The receiver therefore uses one bit duration (floored at 64
+// samples) and compensates the resulting start uncertainty by widening the
+// per-user preamble search (detect.go).
+//
+// The long-term reference is fed through a delay line one short window
+// long. Without it, the reference absorbs the frame's own energy while the
+// short window is still filling, and for short spreading codes the
+// short/long ratio tops out at exactly the comparator threshold — detection
+// becomes a coin flip. Delayed, the reference stays noise-only until after
+// the comparator has fired. Both averages warm up on the first shortWindow
+// samples; the simulator always provides a noise-only lead.
+//
+// Every window mean is read from the power prefix-sum array (prefix =
+// dsp.PrefixSumInto(_, power)) in O(1) work per position. At check index i
+// the short-term mean is the last shortWindow samples, and the long-term
+// reference — whose delay line re-pushes the warmup samples, so its push
+// sequence is power[0:sw] ++ power[0:i−sw] — is the mean of the last
+// min(i, longWindow) entries of that sequence. The three cases below are
+// that tail straddling (or not) the warmup/replay seam. The streaming form
+// (two moving averagers and the delay-line ring) is the oracle in the rx
+// tests: window means differ from it only in floating-point association
+// order, decisions are identical on every covered scenario
+// (TestSyncEquivalenceReceive), and exactly identical on integer-valued
+// power (FuzzFrameSync).
+//
+// The returned start back-dates the fire index by the short window length;
+// the true frame start lies within [start, start+shortWindow].
 //
 //cbma:hotpath
 func energyDetectPrefix(prefix []float64, longWindow int, thresholdDB float64, shortWindow int) (start int, found bool) {

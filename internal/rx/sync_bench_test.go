@@ -106,9 +106,9 @@ func BenchmarkGlobalAlignCoarseFine(b *testing.B) {
 	}
 }
 
-// BenchmarkReceiveFastVsReference reports the end-to-end receiver cost of
-// both sync paths on the same buffer, so the committed BENCH numbers have a
-// package-local cross-check.
+// BenchmarkReceiveFastVsReference reports the end-to-end cost of Receive
+// and of the oracle chain (referenceReceive) on the same buffer: what the
+// pruned sync path saves.
 func BenchmarkReceiveFastVsReference(b *testing.B) {
 	for _, ref := range []bool{false, true} {
 		name := "fast"
@@ -122,7 +122,7 @@ func BenchmarkReceiveFastVsReference(b *testing.B) {
 			}
 			r, err := New(Config{
 				Codes: set, SamplesPerChip: testSPC, NoiseFloorW: testNoise,
-				SearchChips: 1, ReferenceSync: ref,
+				SearchChips: 1,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -142,7 +142,13 @@ func BenchmarkReceiveFastVsReference(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := r.Receive(sig); err != nil {
+				var err error
+				if ref {
+					_, err = r.referenceReceive(sig, -1)
+				} else {
+					_, err = r.Receive(sig)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -111,29 +111,12 @@ func TestEnergyDetectPrefixMatchesReference(t *testing.T) {
 	}
 }
 
-// syncPair builds reference- and fast-path receivers over the same config.
-func syncPair(t *testing.T, cfg Config) (ref, fast *Receiver) {
-	t.Helper()
-	refCfg := cfg
-	refCfg.ReferenceSync = true
-	ref, err := New(refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ReferenceSync = false
-	fast, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ref, fast
-}
-
-// TestSyncEquivalenceReceive is the receiver-level half of the tentpole
-// guarantee: the fast sync path (prefix-sum detection, windowed envelope,
-// coarse-to-fine alignment) and the reference path produce deeply equal
-// Results — every field, including float statistics — across dense Gold
-// collisions (direct and FFT alignment regimes), sparse 2NC sets, SIC,
-// timing hints and noise-only buffers, with scratch reuse across calls.
+// TestSyncEquivalenceReceive holds the receiver's sync path (prefix-sum
+// detection, windowed envelope, coarse-to-fine alignment) to the oracle
+// chain of referenceReceive: deeply equal Results — every field, including
+// float statistics — across dense Gold collisions (31- and 127-chip codes),
+// sparse 2NC sets, SIC, timing hints, truncated and noise-only buffers and
+// the resync fallback, with scratch reuse across calls.
 func TestSyncEquivalenceReceive(t *testing.T) {
 	gold31 := goldSet(t, 10)
 	gold127 := gold127Set(t, 4)
@@ -188,6 +171,8 @@ func TestSyncEquivalenceReceive(t *testing.T) {
 		buildScenario(t, gold31, mkPayloads(10, 6), phased(10, 14), offs[:10], lead, 300), -1)
 	add("gold31 hinted", gold31, base(gold31),
 		buildScenario(t, gold31, mkPayloads(6, 4), phased(6, 16), offs[:6], lead, 200), lead)
+	// Long templates: the window size at which alignment once switched to
+	// the frequency-domain filter bank.
 	add("gold127 fft-align regime", gold127, base(gold127),
 		buildScenario(t, gold127, mkPayloads(4, 5), phased(4, 18), offs[:4], lead, 250), -1)
 	add("2nc sparse shift-structured", twonc, base(twonc),
@@ -208,7 +193,21 @@ func TestSyncEquivalenceReceive(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, fast := syncPair(t, tc.cfg)
+			fast, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reference := func() Result {
+				res, err := ref.referenceReceive(tc.buf, tc.nominal)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
 			recv := func(r *Receiver) Result {
 				var res Result
 				var err error
@@ -222,11 +221,11 @@ func TestSyncEquivalenceReceive(t *testing.T) {
 				}
 				return res
 			}
-			want := recv(ref)
+			want := reference()
 			got := recv(fast)
 			sameResult(t, tc.name, want, got)
 			// Scratch reuse must not leak state between calls on either path.
-			sameResult(t, tc.name+" ref rerun", want, recv(ref))
+			sameResult(t, tc.name+" ref rerun", want, reference())
 			sameResult(t, tc.name+" fast rerun", got, recv(fast))
 			// Clones (the parallel-worker path) share templates and bank
 			// spectra but must reproduce the original exactly.
@@ -235,11 +234,12 @@ func TestSyncEquivalenceReceive(t *testing.T) {
 	}
 }
 
-// TestFFTFallbackInstrumented forces the alignment sweep's filter-bank call
+// TestFFTFallbackInstrumented forces the detection sweep's filter-bank call
 // to fail (a bank with more templates than the receiver has row scratch) and
-// checks the previously silent direct-path fallback now shows up as a
-// counter increment and a JSONL event — while still decoding identically to
-// a healthy receiver.
+// checks the otherwise silent direct-path fallback shows up as a counter
+// increment and a JSONL event — while still decoding identically to a
+// healthy receiver. The per-user search is widened, as in Fig. 11, until the
+// sweep clears the FFT cutover.
 func TestFFTFallbackInstrumented(t *testing.T) {
 	const nTags = 4
 	set := gold127Set(t, nTags)
@@ -247,16 +247,15 @@ func TestFFTFallbackInstrumented(t *testing.T) {
 		Codes:          set,
 		SamplesPerChip: testSPC,
 		NoiseFloorW:    testNoise,
-		SearchChips:    1,
-		ReferenceSync:  true, // the reference alignment is the bank consumer
+		SearchChips:    8,
 	}
 	healthy, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alignCount := healthy.shortWindow() + 4*testSPC + 1
-	if !healthy.bank.ShouldUseFFT(alignCount, nTags, false) {
-		t.Fatal("alignment window no longer clears the FFT cutover; pick a longer code")
+	sweepCount := 2*cfg.SearchChips*testSPC + 1
+	if !healthy.bank.ShouldUseFFT(sweepCount, nTags, true) {
+		t.Fatal("detection sweep no longer clears the FFT cutover; widen SearchChips")
 	}
 
 	var buf bytes.Buffer
@@ -267,8 +266,8 @@ func TestFFTFallbackInstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One extra template: CorrelateRealAll(ids=nil) then needs more rows
-	// than the receiver grew, which errors after the cutover check.
+	// One extra template: CorrelateAll(ids=nil) then needs more rows than
+	// the receiver grew, which errors after the cutover check.
 	tmpls := make([][]float64, 0, nTags+1)
 	tmpls = append(tmpls, broken.preambleTmpl...)
 	tmpls = append(tmpls, broken.preambleTmpl[0])
@@ -304,7 +303,7 @@ func TestFFTFallbackInstrumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, `"rx_fft_fallback"`) || !strings.Contains(out, `"where":"align"`) {
-		t.Errorf("event log missing rx_fft_fallback/align event:\n%s", out)
+	if !strings.Contains(out, `"rx_fft_fallback"`) || !strings.Contains(out, `"where":"sweep"`) {
+		t.Errorf("event log missing rx_fft_fallback/sweep event:\n%s", out)
 	}
 }

@@ -138,12 +138,6 @@ type Scenario struct {
 	// commit in round order — so Workers is purely a wall-clock knob and
 	// stays out of the JSON form (and with it the hash and the wire).
 	Workers int `json:"-"`
-	// referenceSync forces the receiver's pre-optimization timing
-	// acquisition (rx.Config.ReferenceSync). It is a test seam: the sync
-	// equivalence tests run every scenario through both paths and require
-	// bit-identical Metrics, which is the guarantee that lets the fast path
-	// be the only one a Scenario can ask for.
-	referenceSync bool
 	// Fault, when non-nil, enables the deterministic fault-injection layer
 	// (internal/fault): stuck impedance switches, clock drift, mid-frame
 	// energy outages, ACK loss/corruption, interference bursts, deep fades
