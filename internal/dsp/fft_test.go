@@ -18,7 +18,7 @@ func IFFT(x []complex128) ([]complex128, error) { return fft(x, true) }
 
 func fft(x []complex128, inverse bool) ([]complex128, error) {
 	n := len(x)
-	if n == 0 || NextPowerOfTwo(n) != n {
+	if !isPowerOfTwo(n) {
 		return nil, errNotPowerOfTwo
 	}
 	out := make([]complex128, n)
@@ -30,6 +30,25 @@ func fft(x []complex128, inverse bool) ([]complex128, error) {
 		p.forwardInPlace(out)
 	}
 	return out, nil
+}
+
+// isPowerOfTwo is the transform-length guard: the powers of two are
+// exactly the positive fixed points of NextPowerOfTwo.
+func isPowerOfTwo(n int) bool { return n > 0 && NextPowerOfTwo(n) == n }
+
+func TestIsPowerOfTwo(t *testing.T) {
+	tests := []struct {
+		n    int
+		want bool
+	}{
+		{0, false}, {1, true}, {2, true}, {3, false}, {4, true},
+		{1023, false}, {1024, true}, {-4, false},
+	}
+	for _, tc := range tests {
+		if got := isPowerOfTwo(tc.n); got != tc.want {
+			t.Errorf("isPowerOfTwo(%d) = %v, want %v", tc.n, got, tc.want)
+		}
+	}
 }
 
 func TestNextPowerOfTwo(t *testing.T) {

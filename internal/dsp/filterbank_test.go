@@ -75,6 +75,48 @@ func TestCrossCorrelateTemplateTooLong(t *testing.T) {
 	}
 }
 
+// TestCrossCorrelateFFTDegenerate requires the degenerate shapes to fail on
+// a bank sized for the frequency-domain path, for complex and real input
+// alike, without writing into the caller's rows.
+func TestCrossCorrelateFFTDegenerate(t *testing.T) {
+	if _, err := NewFilterBank([][]float64{nil}); err != ErrEmptyInput {
+		t.Errorf("empty template: err %v, want ErrEmptyInput", err)
+	}
+	long := make([][]float64, 8)
+	for i := range long {
+		long[i] = make([]float64, 4096)
+		long[i][0] = 1
+	}
+	fb, err := NewFilterBank(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const count = 2048
+	if !fb.ShouldUseFFT(count, len(long), true) || !fb.ShouldUseFFT(count, len(long), false) {
+		t.Fatal("bank must take the FFT path for a full sweep")
+	}
+	short := 4096 + count - 2
+	crows := make([][]complex128, len(long))
+	rrows := make([][]float64, len(long))
+	for i := range long {
+		crows[i] = make([]complex128, count)
+		crows[i][0] = 7
+		rrows[i] = make([]float64, count)
+		rrows[i][0] = 7
+	}
+	if err := fb.CorrelateAll(make([]complex128, short), 0, count, nil, crows); err != ErrLengthMismatch {
+		t.Errorf("input one sample short of the sweep: err %v, want ErrLengthMismatch", err)
+	}
+	if err := fb.CorrelateRealAll(make([]float64, short), 0, count, nil, rrows); err != ErrLengthMismatch {
+		t.Errorf("real input one sample short of the sweep: err %v, want ErrLengthMismatch", err)
+	}
+	for i := range long {
+		if crows[i][0] != 7 || rrows[i][0] != 7 {
+			t.Fatalf("row %d written by a rejected query", i)
+		}
+	}
+}
+
 // TestCrossCorrelateRealMatchesComplex requires the real-input query to
 // equal the complex query on the same (real) samples.
 func TestCrossCorrelateRealMatchesComplex(t *testing.T) {
